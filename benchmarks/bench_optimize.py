@@ -29,11 +29,11 @@ floors to 4x was measured unattainable and *not* adopted: the legacy
 legs here are clone-dominated, and both legs' per-candidate cost
 bottoms out at one full retiming sweep because ``kl``/``annealing``
 score swaps through per-candidate ``trial_cost`` (production
-behaviour).  The block-structured timing engine's batched-retime win
+behaviour).  The timing engine's stacked-retime win
 lands in ``trial_moves``/``greedy_refine`` instead and is floored
 where it is measurable in isolation — ``bench_timing.py`` asserts ≥3x
-on the natural-K trial retime (4.4-7.9x measured) and ≥2x on stacked
-vs sequential candidate scoring (6.0-8.7x measured).  The annealing
+on the natural-K trial retime and ≥2x on stacked vs sequential
+candidate scoring (7-16x measured for both).  The annealing
 sweep is recorded without a floor: its legacy reject path (reverse
 move, no clone) was already clone-free, so the two legs are near
 parity.  Results land in ``BENCH_optimize.json`` via the bench-smoke

@@ -84,14 +84,18 @@ def parse_bench(text: str, name: str = "bench") -> Circuit:
             raise BenchFormatError(f"line {lineno}: unknown gate function {func!r}")
         fanins = tuple(f.strip() for f in fanin_text.split(",") if f.strip())
         try:
-            add(Gate(target, gate_type, fanins), lineno)
+            gate = Gate(target, gate_type, fanins)
         except (ValueError, NetlistError) as exc:
             raise BenchFormatError(f"line {lineno}: {exc}") from exc
+        add(gate, lineno)
 
     try:
-        return Circuit(name, gates, outputs)
+        circuit = Circuit(name, gates, outputs)
     except NetlistError as exc:
         raise BenchFormatError(str(exc)) from exc
+    if not circuit.gate_names:
+        raise BenchFormatError(f"circuit {name!r} has no logic gates")
+    return circuit
 
 
 def parse_bench_file(path: str | Path, name: str | None = None) -> Circuit:

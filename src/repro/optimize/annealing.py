@@ -25,7 +25,7 @@ accept/reject decision stream:
 
 ``candidate_mode="sequential"``
     The reference path: each proposal pays one ``trial_cost`` (one
-    block-structured incremental retime, DESIGN §8.4) and an exact-undo
+    incremental retime, DESIGN §8.4) and an exact-undo
     rollback on reject.
 
 A proposal drawn against the block-start state may be invalidated by an
@@ -228,8 +228,8 @@ def _walk_batched(walk: _Walk, proposals, temperature: float) -> None:
     only the remainder of the block after each acceptance (a rejection
     leaves every pending score exact).  A pending set below the stacking
     break-even hands the tail to :func:`_walk_sequential` — the kernel's
-    fixed cost (one full level sweep) exceeds a handful of
-    cone-restricted trials, and ``trial_cost`` scores are bit-identical,
+    fixed cost (one stacked level sweep) exceeds a handful of
+    sequential trials, and ``trial_cost`` scores are bit-identical,
     so a hot walk degenerates to sequential cost instead of paying the
     trial twice per acceptance."""
     state = walk.state

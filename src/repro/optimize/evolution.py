@@ -37,9 +37,9 @@ The boundary-gate and connected-target queries the mutation operator
 leans on are batched CSR scans over the compiled graph (see DESIGN.md),
 so mutation cost stays proportional to module size, not circuit size.
 Inside each child's trial the exact D_BIC refresh runs through the
-block-structured incremental timing engine (DESIGN §8.4): the child's
-delay changes seed a cone/dirty-block/full dispatch and the degraded
-critical path reads off maintained per-block arrival maxima.
+incremental timing engine (DESIGN §8.4): one full sweep diffed into
+the trial's undo journal, the degraded critical path read off as the
+arrival maximum.
 """
 
 from __future__ import annotations

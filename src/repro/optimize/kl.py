@@ -33,7 +33,7 @@ Two candidate-scoring modes (``candidate_mode``):
 
 ``"sequential"``
     The original interleaved sample-score-commit loop with locking,
-    one ``trial_cost`` (one block-structured retime, DESIGN §8.4) per
+    one ``trial_cost`` (one incremental retime, DESIGN §8.4) per
     candidate — kept bit-for-bit as the reference semantics.
 
 Both modes draw through :class:`_SwapSampler`, which precomputes the

@@ -12,7 +12,7 @@ Two implementations of that idea live here, behind one protocol:
   ``Γ`` are pure array reductions with no per-module Python loop.  The
   ``c2``/``c4`` delay term is maintained incrementally: a move dirties
   two modules, their gates' degraded delays are re-derived, and the
-  critical path is updated only through the changed gates' fanout cones
+  arrival vector is re-swept and diffed into an exact undo journal
   (:class:`~repro.analysis.timing.IncrementalTiming`).
 
 * :class:`ReferenceEvaluationState` — the original dict-of-
@@ -27,8 +27,8 @@ never clone a state to score a candidate.  The dense path additionally
 offers :meth:`EvaluationState.trial_moves` — a batched gain kernel that
 scores a whole candidate set ``(gates, targets)`` in one vectorised
 pass (batched separation sums, scatter-added profile deltas, vectorised
-sensor sizing and constraint checking), looping only for the
-per-candidate cone-restricted delay update.
+sensor sizing and constraint checking, and one stacked re-timing sweep
+for the delay term).
 """
 
 from __future__ import annotations
@@ -473,7 +473,6 @@ class EvaluationState(_StateProtocol):
         self.settle_ns = np.zeros(s, dtype=np.float64)
         self.delay_degraded = ctx.electricals.delay_ns.copy()
         self._arrival: np.ndarray | None = None
-        self._block_max: np.ndarray | None = None
         self._dbic = 0.0
         self._dirty: set[int] = set(modules)
         self._journal: list | None = None
@@ -525,7 +524,6 @@ class EvaluationState(_StateProtocol):
         ):
             setattr(clone, name, getattr(self, name).copy())
         clone._arrival = None if self._arrival is None else self._arrival.copy()
-        clone._block_max = None if self._block_max is None else self._block_max.copy()
         clone._dbic = self._dbic
         clone._dirty = set(self._dirty)
         clone._journal = None
@@ -625,7 +623,6 @@ class EvaluationState(_StateProtocol):
             # (against trial-time delays); drop it so the next refresh
             # rebuilds from the restored delays.
             self._arrival = None
-            self._block_max = None
         del self._move_log[log_len:]
 
     # ------------------------------------------------------------------ moves
@@ -908,8 +905,7 @@ class EvaluationState(_StateProtocol):
     # ------------------------------------------------------------ derived data
     def _refresh(self) -> None:
         """Re-size sensors, re-degrade delays and re-time the critical
-        path for modified modules — vectorised across the dirty set,
-        cone-restricted for the timing update."""
+        path for modified modules — vectorised across the dirty set."""
         ctx = self.ctx
         if self._dirty:
             dirty = sorted(self._dirty)
@@ -955,21 +951,9 @@ class EvaluationState(_StateProtocol):
         incremental = ctx.timing.incremental
         if self._arrival is None:
             self._arrival = incremental.full_arrival(self.delay_degraded)
-            self._block_max = incremental.block_maxima(self._arrival)
-            self._dbic = float(self._block_max.max()) if self._block_max.size else 0.0
+            self._dbic = float(self._arrival.max()) if self._arrival.size else 0.0
         elif changed:
-            # Block maxima are *not* maintained through per-trial
-            # updates — only `trial_moves` consumes them, and it runs
-            # outside trials, so they are rebuilt lazily there.  Marking
-            # them stale here keeps rollback trivial (the marker is
-            # valid in every timeline) and spares the sequential
-            # trial paths (kl/annealing) the per-update upkeep.
-            self._block_max = None
-            touched, old = incremental.update(
-                self._arrival,
-                self.delay_degraded,
-                np.concatenate(changed),
-            )
+            touched, old = incremental.update(self._arrival, self.delay_degraded)
             if self._journal is not None and touched.size:
                 self._journal.append(("arr", self._arrival, touched, old))
             self._dbic = float(self._arrival.max())
@@ -1076,12 +1060,9 @@ class EvaluationState(_StateProtocol):
         frontier, so their degraded-delay overrides are built as one
         ``(C, gates)`` matrix (the degradation delta is elementwise, so
         the moved gate's row entry is simply overwritten with its
-        target-side value) and re-timed in one stacked block-cone sweep
+        target-side value) and re-timed in one stacked sweep
         (:meth:`IncrementalTiming.retime_batch`).  The state is never
-        mutated.  Degradation models that don't advertise numpy
-        broadcasting (``broadcasts = True``) fall back to the sequential
-        per-candidate update/restore loop — same results, one candidate
-        at a time.
+        mutated.
         """
         gates = np.asarray(gates, dtype=np.int64)
         count = len(gates)
@@ -1176,141 +1157,114 @@ class EvaluationState(_StateProtocol):
 
         # --- stage 2: the delay term, batched per (source, target) pair.
         d_bic = np.empty(count, dtype=np.float64)
-        if getattr(ctx.degradation, "broadcasts", False):
-            arrival = self._arrival
-            if self._block_max is None:
-                # Stale since the last committed retime (see _refresh);
-                # rebuilt once per neighbourhood scan, amortised over
-                # every candidate below.
-                self._block_max = ctx.timing.incremental.block_maxima(arrival)
-            block_max = self._block_max
-            delays = self.delay_degraded
-            nominal = electricals.delay_ns
-            incremental = ctx.timing.incremental
-            cg_ff = electricals.output_cap_ff
-            rg_ohm = electricals.pulldown_res_ohm
-            time_resolved = ctx.time_resolved_degradation
-            if not time_resolved:
-                # Matches the sequential path's ``float(act_row.max())``.
-                n_src = src_act.max(axis=1)
-                n_tgt = tgt_act.max(axis=1)
+        arrival = self._arrival
+        delays = self.delay_degraded
+        nominal = electricals.delay_ns
+        incremental = ctx.timing.incremental
+        cg_ff = electricals.output_cap_ff
+        rg_ohm = electricals.pulldown_res_ohm
+        time_resolved = ctx.time_resolved_degradation
+        if not time_resolved:
+            # Matches the committed path's ``float(activity.max())``.
+            n_src = src_act.max(axis=1)
+            n_tgt = tgt_act.max(axis=1)
 
-            def side_overrides(members, n_rows, rs_rows, cs_rows):
-                """Degraded delays of ``members`` for each candidate row —
-                the elementwise delta broadcast over (candidate, gate)."""
-                delta = ctx.degradation.delta(
-                    n_rows,
-                    rs_rows[:, None],
-                    cs_rows[:, None],
-                    cg_ff[members][None, :],
-                    rg_ohm[members][None, :],
-                )
-                return nominal[members][None, :] * (1.0 + delta)
-
-            keys = src_modules * np.int64(partition._next_id) + targets
-            order = np.argsort(keys, kind="stable")
-            boundaries = np.nonzero(np.diff(keys[order]))[0] + 1
-            groups = np.split(order, boundaries)
-            # Scattered batches (random annealing blocks, KL pools) land
-            # roughly one candidate per module pair, so per-pair calls
-            # degrade to C=1 sweeps and nothing stacks.  Merging every
-            # group into one call over the union column set restores the
-            # stacking: a candidate's entries outside its own pair carry
-            # the base delays, which retime_batch treats as no-op
-            # overrides, so the merged sweep stays bit-identical to the
-            # per-pair calls while amortising one cone sweep over the
-            # whole batch.  Dense batches (neighbourhood scans) keep the
-            # per-pair calls and their tighter cones.
-            merged_over = None
-            if len(groups) * 8 > count:
-                touched_modules = np.unique(np.concatenate([src_modules, targets]))
-                # Memberships are disjoint sorted runs, so one sort (no
-                # dedup) yields the sorted union column set.
-                all_cols = np.sort(
-                    np.concatenate([self._members[int(m)] for m in touched_modules])
-                )
-                merged_over = np.empty((count, all_cols.size), dtype=np.float64)
-                merged_over[:] = delays[all_cols][None, :]
-            for group in groups:
-                src_members = self._members[int(src_modules[group[0]])]
-                tgt_members = self._members[int(targets[group[0]])]
-                group_dying = bool(dying[group[0]])
-                cols = np.concatenate([src_members, tgt_members])
-                if merged_over is not None:
-                    col_pos = np.searchsorted(all_cols, cols)
-                n_s = src_members.size
-                for lo in range(0, len(group), 192):
-                    chunk = group[lo : lo + 192]
-                    moved = gates[chunk]
-                    over = np.empty((chunk.size, cols.size), dtype=np.float64)
-                    if group_dying:
-                        # No source side remains; the moved gate's entry
-                        # is overwritten with its target-side value below.
-                        over[:, :n_s] = delays[src_members]
-                    else:
-                        n_rows = (
-                            _profile_max_rows(times, src_members, src_act[chunk])
-                            if time_resolved
-                            else n_src[chunk][:, None]
-                        )
-                        over[:, :n_s] = side_overrides(
-                            src_members, n_rows, src_rs[chunk], src_cs[chunk]
-                        )
-                    n_rows = (
-                        _profile_max_rows(times, tgt_members, tgt_act[chunk])
-                        if time_resolved
-                        else n_tgt[chunk][:, None]
-                    )
-                    over[:, n_s:] = side_overrides(
-                        tgt_members, n_rows, tgt_rs[chunk], tgt_cs[chunk]
-                    )
-                    # The moved gate joins the target module: same
-                    # elementwise delta with the target side's
-                    # parameters and the gate's own load.
-                    n_moved = (
-                        _profile_max_diag(times, moved, tgt_act[chunk])
-                        if time_resolved
-                        else n_tgt[chunk]
-                    )
-                    delta_moved = ctx.degradation.delta(
-                        n_moved,
-                        tgt_rs[chunk],
-                        tgt_cs[chunk],
-                        cg_ff[moved],
-                        rg_ohm[moved],
-                    )
-                    over[
-                        np.arange(chunk.size), np.searchsorted(src_members, moved)
-                    ] = nominal[moved] * (1.0 + delta_moved)
-                    if merged_over is not None:
-                        merged_over[chunk[:, None], col_pos[None, :]] = over
-                    else:
-                        d_bic[chunk] = incremental.retime_batch(
-                            arrival, delays, cols, over, block_max=block_max
-                        )
-            if merged_over is not None:
-                for lo in range(0, count, 192):
-                    d_bic[lo : lo + 192] = incremental.retime_batch(
-                        arrival,
-                        delays,
-                        all_cols,
-                        merged_over[lo : lo + 192],
-                        block_max=block_max,
-                    )
-        else:
-            self._delay_term_loop(
-                d_bic,
-                gates,
-                targets,
-                src_modules,
-                dying,
-                src_act,
-                tgt_act,
-                src_rs,
-                src_cs,
-                tgt_rs,
-                tgt_cs,
+        def side_overrides(members, n_rows, rs_rows, cs_rows):
+            """Degraded delays of ``members`` for each candidate row —
+            the elementwise delta broadcast over (candidate, gate)."""
+            delta = ctx.degradation.delta(
+                n_rows,
+                rs_rows[:, None],
+                cs_rows[:, None],
+                cg_ff[members][None, :],
+                rg_ohm[members][None, :],
             )
+            return nominal[members][None, :] * (1.0 + delta)
+
+        keys = src_modules * np.int64(partition._next_id) + targets
+        order = np.argsort(keys, kind="stable")
+        boundaries = np.nonzero(np.diff(keys[order]))[0] + 1
+        groups = np.split(order, boundaries)
+        # Scattered batches (random annealing blocks, KL pools) land
+        # roughly one candidate per module pair, so per-pair calls
+        # degrade to C=1 sweeps and nothing stacks.  Merging every
+        # group into one call over the union column set restores the
+        # stacking: a candidate's entries outside its own pair carry
+        # the base delays, which retime_batch treats as no-op
+        # overrides, so the merged sweep stays bit-identical to the
+        # per-pair calls while amortising one sweep over the whole
+        # batch.  Dense batches (neighbourhood scans) keep the per-pair
+        # calls and their narrower override matrices.
+        merged_over = None
+        if len(groups) * 8 > count:
+            touched_modules = np.unique(np.concatenate([src_modules, targets]))
+            # Memberships are disjoint sorted runs, so one sort (no
+            # dedup) yields the sorted union column set.
+            all_cols = np.sort(
+                np.concatenate([self._members[int(m)] for m in touched_modules])
+            )
+            merged_over = np.empty((count, all_cols.size), dtype=np.float64)
+            merged_over[:] = delays[all_cols][None, :]
+        for group in groups:
+            src_members = self._members[int(src_modules[group[0]])]
+            tgt_members = self._members[int(targets[group[0]])]
+            group_dying = bool(dying[group[0]])
+            cols = np.concatenate([src_members, tgt_members])
+            if merged_over is not None:
+                col_pos = np.searchsorted(all_cols, cols)
+            n_s = src_members.size
+            for lo in range(0, len(group), 192):
+                chunk = group[lo : lo + 192]
+                moved = gates[chunk]
+                over = np.empty((chunk.size, cols.size), dtype=np.float64)
+                if group_dying:
+                    # No source side remains; the moved gate's entry
+                    # is overwritten with its target-side value below.
+                    over[:, :n_s] = delays[src_members]
+                else:
+                    n_rows = (
+                        _profile_max_rows(times, src_members, src_act[chunk])
+                        if time_resolved
+                        else n_src[chunk][:, None]
+                    )
+                    over[:, :n_s] = side_overrides(
+                        src_members, n_rows, src_rs[chunk], src_cs[chunk]
+                    )
+                n_rows = (
+                    _profile_max_rows(times, tgt_members, tgt_act[chunk])
+                    if time_resolved
+                    else n_tgt[chunk][:, None]
+                )
+                over[:, n_s:] = side_overrides(
+                    tgt_members, n_rows, tgt_rs[chunk], tgt_cs[chunk]
+                )
+                # The moved gate joins the target module: same
+                # elementwise delta with the target side's
+                # parameters and the gate's own load.
+                n_moved = (
+                    _profile_max_diag(times, moved, tgt_act[chunk])
+                    if time_resolved
+                    else n_tgt[chunk]
+                )
+                delta_moved = ctx.degradation.delta(
+                    n_moved,
+                    tgt_rs[chunk],
+                    tgt_cs[chunk],
+                    cg_ff[moved],
+                    rg_ohm[moved],
+                )
+                over[
+                    np.arange(chunk.size), np.searchsorted(src_members, moved)
+                ] = nominal[moved] * (1.0 + delta_moved)
+                if merged_over is not None:
+                    merged_over[chunk[:, None], col_pos[None, :]] = over
+                else:
+                    d_bic[chunk] = incremental.retime_batch(arrival, delays, cols, over)
+        if merged_over is not None:
+            for lo in range(0, count, 192):
+                d_bic[lo : lo + 192] = incremental.retime_batch(
+                    arrival, delays, all_cols, merged_over[lo : lo + 192]
+                )
 
         d_nom = ctx.nominal_delay_ns
         weights = ctx.weights
@@ -1327,76 +1281,6 @@ class EvaluationState(_StateProtocol):
             + weights.modules * c5
         )
         return costs + np.where(feasible, 0.0, penalty * (1.0 + violation))
-
-    def _delay_term_loop(
-        self,
-        d_bic,
-        gates,
-        targets,
-        src_modules,
-        dying,
-        src_act,
-        tgt_act,
-        src_rs,
-        src_cs,
-        tgt_rs,
-        tgt_cs,
-    ) -> None:
-        """Sequential per-candidate delay term — the fallback for
-        degradation models without broadcasting: re-degrade the two
-        touched modules, cone-update the critical path, restore the
-        scratch exactly."""
-        ctx = self.ctx
-        times = ctx.times
-        electricals = ctx.electricals
-        arrival = self._arrival
-        delays = self.delay_degraded
-        nominal = electricals.delay_ns
-        incremental = ctx.timing.incremental
-        for i in range(len(gates)):
-            gate = int(gates[i])
-            seeds: list[np.ndarray] = []
-            saved: list[tuple[np.ndarray, np.ndarray]] = []
-            sides: list[tuple[np.ndarray, np.ndarray, float, float]] = []
-            if not dying[i]:
-                members = self._members[int(src_modules[i])]
-                sides.append(
-                    (members[members != gate], src_act[i], src_rs[i], src_cs[i])
-                )
-            members = self._members[int(targets[i])]
-            sides.append(
-                (np.append(members, gate), tgt_act[i], tgt_rs[i], tgt_cs[i])
-            )
-            for module_gates, act_row, rs_i, cs_i in sides:
-                if ctx.time_resolved_degradation:
-                    n = times.max_in_profile(module_gates, act_row)
-                else:
-                    n = float(act_row.max())
-                delta = ctx.degradation.delta(
-                    n,
-                    rs_i,
-                    cs_i,
-                    electricals.output_cap_ff[module_gates],
-                    electricals.pulldown_res_ohm[module_gates],
-                )
-                fresh = nominal[module_gates] * (1.0 + delta)
-                diff = fresh != delays[module_gates]
-                if diff.any():
-                    idx = module_gates[diff]
-                    saved.append((idx, delays[idx].copy()))
-                    delays[idx] = fresh[diff]
-                    seeds.append(idx)
-            if seeds:
-                touched, old = incremental.update(
-                    arrival, delays, np.concatenate(seeds)
-                )
-                d_bic[i] = arrival.max()
-                if touched.size:
-                    arrival[touched] = old
-                for idx, old_delays in saved:
-                    delays[idx] = old_delays
-            else:
-                d_bic[i] = self._dbic
 
     # ------------------------------------------------------------ swap kernel
     def trial_swaps(
@@ -1528,139 +1412,115 @@ class EvaluationState(_StateProtocol):
         # --- stage 2: the delay term, batched per (module_a, module_b)
         # pair — one shared override column-set per pair.
         d_bic = np.empty(count, dtype=np.float64)
-        if getattr(ctx.degradation, "broadcasts", False):
-            arrival = self._arrival
-            if self._block_max is None:
-                self._block_max = ctx.timing.incremental.block_maxima(arrival)
-            block_max = self._block_max
-            delays = self.delay_degraded
-            nominal = electricals.delay_ns
-            incremental = ctx.timing.incremental
-            cg_ff = electricals.output_cap_ff
-            rg_ohm = electricals.pulldown_res_ohm
-            time_resolved = ctx.time_resolved_degradation
-            if not time_resolved:
-                n_a = a_act.max(axis=1)
-                n_b = b_act.max(axis=1)
+        arrival = self._arrival
+        delays = self.delay_degraded
+        nominal = electricals.delay_ns
+        incremental = ctx.timing.incremental
+        cg_ff = electricals.output_cap_ff
+        rg_ohm = electricals.pulldown_res_ohm
+        time_resolved = ctx.time_resolved_degradation
+        if not time_resolved:
+            n_a = a_act.max(axis=1)
+            n_b = b_act.max(axis=1)
 
-            def side_overrides(members, n_rows, rs_rows, cs_rows):
-                delta = ctx.degradation.delta(
-                    n_rows,
-                    rs_rows[:, None],
-                    cs_rows[:, None],
-                    cg_ff[members][None, :],
-                    rg_ohm[members][None, :],
-                )
-                return nominal[members][None, :] * (1.0 + delta)
-
-            keys = mod_a * np.int64(partition._next_id) + mod_b
-            order = np.argsort(keys, kind="stable")
-            boundaries = np.nonzero(np.diff(keys[order]))[0] + 1
-            groups = np.split(order, boundaries)
-            # Same merged-stacking path as trial_moves: scattered pools
-            # merge every pair group into one retime_batch call over the
-            # union column set (base-delay entries are no-op overrides,
-            # so the merge is bit-identical).
-            merged_over = None
-            if len(groups) * 8 > count:
-                touched_modules = np.unique(np.concatenate([mod_a, mod_b]))
-                all_cols = np.sort(
-                    np.concatenate([self._members[int(m)] for m in touched_modules])
-                )
-                merged_over = np.empty((count, all_cols.size), dtype=np.float64)
-                merged_over[:] = delays[all_cols][None, :]
-            for group in groups:
-                members_a = self._members[int(mod_a[group[0]])]
-                members_b = self._members[int(mod_b[group[0]])]
-                cols = np.concatenate([members_a, members_b])
-                if merged_over is not None:
-                    col_pos = np.searchsorted(all_cols, cols)
-                n_s = members_a.size
-                for lo in range(0, len(group), 192):
-                    chunk = group[lo : lo + 192]
-                    moved_a = gates_a[chunk]
-                    moved_b = gates_b[chunk]
-                    over = np.empty((chunk.size, cols.size), dtype=np.float64)
-                    n_rows = (
-                        _profile_max_rows(times, members_a, a_act[chunk])
-                        if time_resolved
-                        else n_a[chunk][:, None]
-                    )
-                    over[:, :n_s] = side_overrides(
-                        members_a, n_rows, a_rs[chunk], a_cs[chunk]
-                    )
-                    n_rows = (
-                        _profile_max_rows(times, members_b, b_act[chunk])
-                        if time_resolved
-                        else n_b[chunk][:, None]
-                    )
-                    over[:, n_s:] = side_overrides(
-                        members_b, n_rows, b_rs[chunk], b_cs[chunk]
-                    )
-                    # The exchanged pair crosses sides: each moved
-                    # gate's override carries the *other* module's
-                    # sensor parameters — two overwritten entries per
-                    # candidate row (multi-gate override columns).
-                    n_moved = (
-                        _profile_max_diag(times, moved_a, b_act[chunk])
-                        if time_resolved
-                        else n_b[chunk]
-                    )
-                    delta_moved = ctx.degradation.delta(
-                        n_moved,
-                        b_rs[chunk],
-                        b_cs[chunk],
-                        cg_ff[moved_a],
-                        rg_ohm[moved_a],
-                    )
-                    over[
-                        np.arange(chunk.size), np.searchsorted(members_a, moved_a)
-                    ] = nominal[moved_a] * (1.0 + delta_moved)
-                    n_moved = (
-                        _profile_max_diag(times, moved_b, a_act[chunk])
-                        if time_resolved
-                        else n_a[chunk]
-                    )
-                    delta_moved = ctx.degradation.delta(
-                        n_moved,
-                        a_rs[chunk],
-                        a_cs[chunk],
-                        cg_ff[moved_b],
-                        rg_ohm[moved_b],
-                    )
-                    over[
-                        np.arange(chunk.size),
-                        n_s + np.searchsorted(members_b, moved_b),
-                    ] = nominal[moved_b] * (1.0 + delta_moved)
-                    if merged_over is not None:
-                        merged_over[chunk[:, None], col_pos[None, :]] = over
-                    else:
-                        d_bic[chunk] = incremental.retime_batch(
-                            arrival, delays, cols, over, block_max=block_max
-                        )
-            if merged_over is not None:
-                for lo in range(0, count, 192):
-                    d_bic[lo : lo + 192] = incremental.retime_batch(
-                        arrival,
-                        delays,
-                        all_cols,
-                        merged_over[lo : lo + 192],
-                        block_max=block_max,
-                    )
-        else:
-            self._delay_swap_loop(
-                d_bic,
-                gates_a,
-                gates_b,
-                mod_a,
-                mod_b,
-                a_act,
-                b_act,
-                a_rs,
-                a_cs,
-                b_rs,
-                b_cs,
+        def side_overrides(members, n_rows, rs_rows, cs_rows):
+            delta = ctx.degradation.delta(
+                n_rows,
+                rs_rows[:, None],
+                cs_rows[:, None],
+                cg_ff[members][None, :],
+                rg_ohm[members][None, :],
             )
+            return nominal[members][None, :] * (1.0 + delta)
+
+        keys = mod_a * np.int64(partition._next_id) + mod_b
+        order = np.argsort(keys, kind="stable")
+        boundaries = np.nonzero(np.diff(keys[order]))[0] + 1
+        groups = np.split(order, boundaries)
+        # Same merged-stacking path as trial_moves: scattered pools
+        # merge every pair group into one retime_batch call over the
+        # union column set (base-delay entries are no-op overrides,
+        # so the merge is bit-identical).
+        merged_over = None
+        if len(groups) * 8 > count:
+            touched_modules = np.unique(np.concatenate([mod_a, mod_b]))
+            all_cols = np.sort(
+                np.concatenate([self._members[int(m)] for m in touched_modules])
+            )
+            merged_over = np.empty((count, all_cols.size), dtype=np.float64)
+            merged_over[:] = delays[all_cols][None, :]
+        for group in groups:
+            members_a = self._members[int(mod_a[group[0]])]
+            members_b = self._members[int(mod_b[group[0]])]
+            cols = np.concatenate([members_a, members_b])
+            if merged_over is not None:
+                col_pos = np.searchsorted(all_cols, cols)
+            n_s = members_a.size
+            for lo in range(0, len(group), 192):
+                chunk = group[lo : lo + 192]
+                moved_a = gates_a[chunk]
+                moved_b = gates_b[chunk]
+                over = np.empty((chunk.size, cols.size), dtype=np.float64)
+                n_rows = (
+                    _profile_max_rows(times, members_a, a_act[chunk])
+                    if time_resolved
+                    else n_a[chunk][:, None]
+                )
+                over[:, :n_s] = side_overrides(
+                    members_a, n_rows, a_rs[chunk], a_cs[chunk]
+                )
+                n_rows = (
+                    _profile_max_rows(times, members_b, b_act[chunk])
+                    if time_resolved
+                    else n_b[chunk][:, None]
+                )
+                over[:, n_s:] = side_overrides(
+                    members_b, n_rows, b_rs[chunk], b_cs[chunk]
+                )
+                # The exchanged pair crosses sides: each moved
+                # gate's override carries the *other* module's
+                # sensor parameters — two overwritten entries per
+                # candidate row (multi-gate override columns).
+                n_moved = (
+                    _profile_max_diag(times, moved_a, b_act[chunk])
+                    if time_resolved
+                    else n_b[chunk]
+                )
+                delta_moved = ctx.degradation.delta(
+                    n_moved,
+                    b_rs[chunk],
+                    b_cs[chunk],
+                    cg_ff[moved_a],
+                    rg_ohm[moved_a],
+                )
+                over[
+                    np.arange(chunk.size), np.searchsorted(members_a, moved_a)
+                ] = nominal[moved_a] * (1.0 + delta_moved)
+                n_moved = (
+                    _profile_max_diag(times, moved_b, a_act[chunk])
+                    if time_resolved
+                    else n_a[chunk]
+                )
+                delta_moved = ctx.degradation.delta(
+                    n_moved,
+                    a_rs[chunk],
+                    a_cs[chunk],
+                    cg_ff[moved_b],
+                    rg_ohm[moved_b],
+                )
+                over[
+                    np.arange(chunk.size),
+                    n_s + np.searchsorted(members_b, moved_b),
+                ] = nominal[moved_b] * (1.0 + delta_moved)
+                if merged_over is not None:
+                    merged_over[chunk[:, None], col_pos[None, :]] = over
+                else:
+                    d_bic[chunk] = incremental.retime_batch(arrival, delays, cols, over)
+        if merged_over is not None:
+            for lo in range(0, count, 192):
+                d_bic[lo : lo + 192] = incremental.retime_batch(
+                    arrival, delays, all_cols, merged_over[lo : lo + 192]
+                )
 
         d_nom = ctx.nominal_delay_ns
         weights = ctx.weights
@@ -1677,75 +1537,6 @@ class EvaluationState(_StateProtocol):
             + weights.modules * c5
         )
         return costs + np.where(feasible, 0.0, penalty * (1.0 + violation))
-
-    def _delay_swap_loop(
-        self,
-        d_bic,
-        gates_a,
-        gates_b,
-        mod_a,
-        mod_b,
-        a_act,
-        b_act,
-        a_rs,
-        a_cs,
-        b_rs,
-        b_cs,
-    ) -> None:
-        """Sequential per-candidate swap delay term — the fallback for
-        degradation models without broadcasting (mirror of
-        :meth:`_delay_term_loop` with both memberships exchanged)."""
-        ctx = self.ctx
-        times = ctx.times
-        electricals = ctx.electricals
-        arrival = self._arrival
-        delays = self.delay_degraded
-        nominal = electricals.delay_ns
-        incremental = ctx.timing.incremental
-        for i in range(len(gates_a)):
-            a = int(gates_a[i])
-            b = int(gates_b[i])
-            members_a = self._members[int(mod_a[i])]
-            members_b = self._members[int(mod_b[i])]
-            keep_a = members_a[members_a != a]
-            new_a = np.insert(keep_a, np.searchsorted(keep_a, b), b)
-            keep_b = members_b[members_b != b]
-            new_b = np.insert(keep_b, np.searchsorted(keep_b, a), a)
-            seeds: list[np.ndarray] = []
-            saved: list[tuple[np.ndarray, np.ndarray]] = []
-            for module_gates, act_row, rs_i, cs_i in (
-                (new_a, a_act[i], a_rs[i], a_cs[i]),
-                (new_b, b_act[i], b_rs[i], b_cs[i]),
-            ):
-                if ctx.time_resolved_degradation:
-                    n = times.max_in_profile(module_gates, act_row)
-                else:
-                    n = float(act_row.max())
-                delta = ctx.degradation.delta(
-                    n,
-                    rs_i,
-                    cs_i,
-                    electricals.output_cap_ff[module_gates],
-                    electricals.pulldown_res_ohm[module_gates],
-                )
-                fresh = nominal[module_gates] * (1.0 + delta)
-                diff = fresh != delays[module_gates]
-                if diff.any():
-                    idx = module_gates[diff]
-                    saved.append((idx, delays[idx].copy()))
-                    delays[idx] = fresh[diff]
-                    seeds.append(idx)
-            if seeds:
-                touched, old = incremental.update(
-                    arrival, delays, np.concatenate(seeds)
-                )
-                d_bic[i] = arrival.max()
-                if touched.size:
-                    arrival[touched] = old
-                for idx, old_delays in saved:
-                    delays[idx] = old_delays
-            else:
-                d_bic[i] = self._dbic
 
     # ------------------------------------------------------------- validation
     def consistency_check(self, atol: float = 1e-6) -> None:
@@ -1803,9 +1594,3 @@ class EvaluationState(_StateProtocol):
                 raise PartitionError("maintained arrival times drifted")
             if self._dbic != (float(full.max()) if full.size else 0.0):
                 raise PartitionError("maintained critical path drifted")
-            # ``None`` is the legal stale marker (lazily rebuilt by
-            # trial_moves); a materialised vector must match exactly.
-            if self._block_max is not None and not np.array_equal(
-                self._block_max, ctx.timing.incremental.block_maxima(full)
-            ):
-                raise PartitionError("maintained block maxima drifted")

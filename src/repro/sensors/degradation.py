@@ -39,6 +39,11 @@ class DelayDegradationModel(Protocol):
     switching gates, bypass resistance ``rs_ohm``, rail capacitance
     ``cs_ff``, per-gate load ``cg_ff`` and discharge resistance
     ``rg_ohm``.
+
+    ``delta`` must be elementwise and safe to broadcast: the batched
+    gain kernels call it with ``(C, 1)`` candidate parameters against
+    ``(1, G)`` gate vectors and expect the ``(C, G)`` result to equal
+    ``C`` scalar-parameter calls bit for bit.
     """
 
     def delta(
@@ -54,11 +59,6 @@ class DelayDegradationModel(Protocol):
 class FirstOrderDegradation:
     """``δ = n · Rs / Rg`` — series-resistance-only model."""
 
-    #: Pure elementwise numpy ops: safe to call with broadcast-shaped
-    #: arguments (e.g. ``(C, 1)`` candidate params against ``(1, G)``
-    #: gate vectors).  The batched gain kernel keys on this flag.
-    broadcasts = True
-
     def delta(self, n, rs_ohm, cs_ff, cg_ff, rg_ohm):
         n = np.asarray(n, dtype=np.float64)
         return n * rs_ohm / np.asarray(rg_ohm, dtype=np.float64)
@@ -73,9 +73,6 @@ class SecondOrderDegradation:
     capacitance to the rail), which softens the per-gate impact — the
     behaviour the paper's second-order network captures.
     """
-
-    #: See :class:`FirstOrderDegradation.broadcasts`.
-    broadcasts = True
 
     def delta(self, n, rs_ohm, cs_ff, cg_ff, rg_ohm):
         n = np.asarray(n, dtype=np.float64)

@@ -54,6 +54,12 @@ class TestParse:
         with pytest.raises(BenchFormatError, match="defined twice"):
             parse_bench(text)
 
+    def test_double_definition_line_prefix_once(self):
+        text = "INPUT(a)\nINPUT(b)\nOUTPUT(c)\nc = NAND(a, b)\nc = NOT(a)\n"
+        with pytest.raises(BenchFormatError) as info:
+            parse_bench(text)
+        assert str(info.value) == "line 5: net 'c' defined twice"
+
     def test_arity_violation_rejected(self):
         with pytest.raises(BenchFormatError, match="line 3"):
             parse_bench("INPUT(a)\nOUTPUT(g)\ng = NAND(a)\n")
@@ -61,6 +67,14 @@ class TestParse:
     def test_undefined_driver_rejected(self):
         with pytest.raises(BenchFormatError):
             parse_bench("INPUT(a)\nOUTPUT(g)\ng = NOT(phantom)\n")
+
+    def test_empty_input_rejected(self):
+        with pytest.raises(BenchFormatError, match="no gates"):
+            parse_bench("# nothing here\n")
+
+    def test_no_logic_gates_rejected(self):
+        with pytest.raises(BenchFormatError, match="no logic gates"):
+            parse_bench("INPUT(a)\nOUTPUT(a)\n")
 
 
 class TestWrite:
