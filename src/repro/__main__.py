@@ -21,6 +21,7 @@ import sys
 from pathlib import Path
 
 from repro.config import EvolutionParams, SynthesisConfig
+from repro.errors import ReproError
 
 
 def _load_circuit(spec: str):
@@ -35,7 +36,10 @@ def _load_circuit(spec: str):
         raise SystemExit(
             f"error: {spec!r} is neither a file nor a known benchmark ({known})"
         )
-    return parse_bench_file(path)
+    try:
+        return parse_bench_file(path)
+    except (ReproError, OSError) as exc:
+        raise SystemExit(f"error: cannot load {spec!r}: {exc}") from None
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backend import SimBackend, get_backend
+from repro.backend import KERNEL
 from repro.netlist.circuit import Circuit
 
 __all__ = ["SeparationMatrix", "module_separation", "reference_separation_matrix"]
@@ -40,10 +40,8 @@ _WORD = 64
 class SeparationMatrix:
     """Capped all-pairs gate distances for one circuit.
 
-    The BFS step's segmented bitset OR runs through the selected
-    simulation backend (:meth:`SimBackend.gather_or_segments`), so an
-    accelerator backend takes this kernel over together with the
-    simulation schedule.
+    The BFS step's segmented bitset OR runs through the simulation
+    kernel (:meth:`SimBackend.gather_or_segments`).
     """
 
     #: Lazily built float64 copy of :attr:`matrix` feeding the BLAS
@@ -51,18 +49,12 @@ class SeparationMatrix:
     #: constructors, including :meth:`from_matrix`).
     _matrix_f64: np.ndarray | None = None
 
-    def __init__(
-        self,
-        circuit: Circuit,
-        cap: int,
-        backend: str | SimBackend | None = None,
-    ):
+    def __init__(self, circuit: Circuit, cap: int):
         if cap < 1:
             raise ValueError(f"separation cap must be >= 1, got {cap}")
         if cap > 255:
             raise ValueError("separation cap above 255 not supported (uint8 storage)")
         self.cap = cap
-        kernel = get_backend(backend)
         cg = circuit.compiled
         n = cg.num_gates
         num_nodes = cg.num_nodes
@@ -90,7 +82,7 @@ class SeparationMatrix:
         frontier = np.zeros_like(reached)
         for dist in range(1, cap):
             frontier[:] = 0
-            frontier[nonzero] = kernel.gather_or_segments(
+            frontier[nonzero] = KERNEL.gather_or_segments(
                 reached, cg.adj_indices, offsets
             )
             newly = frontier & ~reached

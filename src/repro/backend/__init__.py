@@ -1,43 +1,11 @@
-"""Pluggable simulation backends for the compiled-graph kernels.
+"""The packed-word simulation kernel behind every compiled-graph consumer.
 
-The packed-word kernels that every fault-simulation and analysis layer
-runs on are owned by a :class:`~repro.backend.base.SimBackend`:
-
-* ``numpy`` — the per-(level, op) sim-group schedule, extracted from
-  the pre-backend ``LogicSimulator`` as the reference kernel;
-* ``fused`` — cross-level fused, unpadded ``reduceat`` dispatch over
-  :meth:`CompiledGraph.fused_schedule`;
-* ``incremental`` — ``fused`` plus event-driven fanout-cone replay for
-  flip-neighbourhood re-simulation (the ATPG hill-climb's engine).
-
-Select per call site (``backend=`` on the simulators/engines), per
-process (``REPRO_SIM_BACKEND``), or per flow
-(:class:`repro.config.SimulationConfig`).  All backends are
-bit-identical by contract; see :mod:`repro.backend.base`.
+:class:`~repro.backend.kernel.SimBackend` owns the fused full pass, the
+event-driven cone replay and the segmented bitset OR of the separation
+BFS; :data:`~repro.backend.kernel.KERNEL` is the one shared instance
+(see :mod:`repro.backend.kernel`).
 """
 
-from repro.backend.base import (
-    DEFAULT_BACKEND,
-    SimBackend,
-    available_backends,
-    get_backend,
-    register_backend,
-)
-from repro.backend.fused import FusedBackend
-from repro.backend.incremental import IncrementalBackend
-from repro.backend.numpy_backend import NumpyBackend
+from repro.backend.kernel import KERNEL, SimBackend
 
-register_backend(NumpyBackend())
-register_backend(FusedBackend())
-register_backend(IncrementalBackend())
-
-__all__ = [
-    "DEFAULT_BACKEND",
-    "SimBackend",
-    "NumpyBackend",
-    "FusedBackend",
-    "IncrementalBackend",
-    "available_backends",
-    "get_backend",
-    "register_backend",
-]
+__all__ = ["KERNEL", "SimBackend"]

@@ -1,23 +1,40 @@
-"""The ``incremental`` backend: event-driven flip-neighbourhood replay.
+"""The packed-word simulation kernel: :class:`SimBackend`.
 
-Full passes run through the fused plan (this backend subclasses
-:class:`~repro.backend.fused.FusedBackend`); the addition is
-:meth:`run_cone`, the event-driven update behind
-:meth:`~repro.faultsim.logic_sim.LogicSimulator.simulate_delta`: given a
-state holding a complete earlier evaluation whose input rows were just
-overwritten, it re-evaluates only the gates a value event actually
-reaches.
+One class owns the bitset kernels every fault-simulation and analysis
+layer runs on:
 
-The static fanout-cone bitsets (:meth:`CompiledGraph.slot_closure`, the
-structure the fault-parallel stuck-at engine introduced) bound which
-gates a flipped net *can* reach; on densely connected circuits that
-bound is loose — a single C7552 input cone covers ~85% of the gates —
-while the set of gates whose packed words actually change is tiny,
-because flips die at the first controlling side-input.  So instead of
-replaying a whole static cone, the engine propagates value events: a
-changed net enqueues its fanout gates, a re-evaluated gate whose words
-are unchanged enqueues nothing, and gates no event reaches are never
-touched.
+* :meth:`SimBackend.run_schedule` — a full pass over
+  :meth:`CompiledGraph.fused_schedule`, the simulation schedule
+  re-batched so same-op gates from different levels share one dispatch
+  wherever the fusion legality rule allows (a batch may only read rows
+  written by strictly earlier batches).  Each batch evaluates as one
+  unpadded gather over its flattened fanin segments plus one
+  ``op.reduceat``; inversion words are applied only for batches that
+  contain at least one inverting gate.  Pinned nets (stuck-at
+  injection) are re-asserted after every batch: within a batch every
+  member reads state as of the batch start, so a pinned row overwritten
+  by the batch is restored before anything can observe the overwrite.
+* :meth:`SimBackend.run_cone` — event-driven replay behind
+  :meth:`~repro.faultsim.logic_sim.LogicSimulator.simulate_delta`:
+  given a state holding a complete earlier evaluation whose input rows
+  were just overwritten, re-evaluate only the gates a value event
+  actually reaches.
+* :meth:`SimBackend.gather_or_segments` — the segmented bitset OR of
+  the separation-matrix BFS.
+
+Contract: every kernel produces **bit-identical** packed words to
+:class:`~repro.faultsim.logic_sim.ReferenceLogicSimulator`; the
+equivalence suite enforces this.
+
+Event-driven replay.  The static fanout-cone bitsets
+(:meth:`CompiledGraph.slot_closure`) bound which gates a flipped net
+*can* reach; on densely connected circuits that bound is loose — a
+single C7552 input cone covers ~85% of the gates — while the set of
+gates whose packed words actually change is tiny, because flips die at
+the first controlling side-input.  So instead of replaying a whole
+static cone, the kernel propagates value events: a changed net enqueues
+its fanout gates, a re-evaluated gate whose words are unchanged
+enqueues nothing, and gates no event reaches are never touched.
 
 Events are slot ids in a heap (ascending slot = evaluation order); a
 gate's fanout always lands on a strictly later slot, so when a slot is
@@ -35,14 +52,6 @@ free of numpy indexing.
 **Incremental invalidation rule:** a gate's output must be recomputed
 iff one of its fanin rows changed; gates outside the event set keep
 values bit-identical to a full evaluation by induction over slot order.
-The equivalence suite asserts bit-identity against full re-simulation
-over randomized flip sequences (single-column, multi-column, and no-op
-flips).
-
-The ATPG hill-climb is the first consumer: each step's
-flip-neighbourhood batch differs from the previous step's in exactly
-one input column, so a step costs one input's event wave instead of a
-full circuit pass.
 """
 
 from __future__ import annotations
@@ -52,7 +61,6 @@ from heapq import heappop, heappush
 import numpy as np
 
 from repro import obs
-from repro.backend.fused import FusedBackend
 from repro.netlist.compiled import (
     _BASE_OP,
     GATE_TYPE_CODES,
@@ -61,21 +69,52 @@ from repro.netlist.compiled import (
     CompiledGraph,
 )
 
-__all__ = ["IncrementalBackend"]
+__all__ = ["KERNEL", "SimBackend"]
 
 
-class IncrementalBackend(FusedBackend):
-    """Fused full passes + event-driven replay (see module docstring)."""
+class SimBackend:
+    """Kernel provider for compiled-graph simulation.
 
-    name = "incremental"
-    supports_incremental = True
+    State matrices are ``(num_sim_rows, words)`` ``uint64`` arrays laid
+    out exactly as :class:`~repro.netlist.compiled.CompiledGraph`
+    prescribes: node rows in ``all_names`` order followed by the
+    all-zeros and all-ones identity rows.  Input rows (and the identity
+    rows) are filled by the caller; ``run_schedule`` computes every gate
+    row.  The only state is the per-circuit event-plan cache, so one
+    shared instance (:data:`KERNEL`) serves every consumer.
+    """
 
-    #: MRU slots for per-circuit event plans (the backend is a shared
-    #: singleton; entries hold the compiled graph, so ids stay valid).
+    #: MRU slots for per-circuit event plans (entries hold the compiled
+    #: graph, so ids stay valid).
     _PLAN_SLOTS = 8
 
     def __init__(self) -> None:
         self._plans: dict[int, tuple[CompiledGraph, tuple]] = {}
+
+    def run_schedule(
+        self, cg: CompiledGraph, state: np.ndarray, pinned_rows: np.ndarray
+    ) -> None:
+        """Evaluate every gate row of ``state`` in fused-schedule order.
+
+        ``pinned_rows`` lists node rows the caller pre-forced to a
+        constant (stuck-at injection); their values survive the pass.
+        """
+        obs.METRICS.inc("backend.full_pass")
+        with obs.TRACER.span("backend.full_pass", words=int(state.shape[1])):
+            pinned_values = state[pinned_rows] if pinned_rows.size else None
+            for group in cg.fused_schedule().groups:
+                gathered = state[group.fanins]  # (edges, words)
+                if group.op == OP_AND:
+                    acc = np.bitwise_and.reduceat(gathered, group.offsets, axis=0)
+                elif group.op == OP_OR:
+                    acc = np.bitwise_or.reduceat(gathered, group.offsets, axis=0)
+                else:
+                    acc = np.bitwise_xor.reduceat(gathered, group.offsets, axis=0)
+                if group.has_invert:
+                    acc ^= group.invert
+                state[group.dst] = acc
+                if pinned_values is not None:
+                    state[pinned_rows] = pinned_values
 
     def run_cone(
         self,
@@ -84,6 +123,19 @@ class IncrementalBackend(FusedBackend):
         changed_nodes: np.ndarray,
         value_cache: dict[int, int] | None = None,
     ) -> np.ndarray:
+        """Re-evaluate only the gates value events from ``changed_nodes``
+        reach.
+
+        ``state`` holds a previously computed full evaluation whose
+        ``changed_nodes`` rows the caller has overwritten; on return all
+        gate rows are bit-identical to a full re-evaluation.  Returns
+        the int32 gate rows whose packed words changed, so callers can
+        patch derived per-node structures.  ``value_cache`` optionally
+        carries rows already materialised as Python ints from an earlier
+        call over the same state; every entry must equal the
+        corresponding ``state`` row, and the dict is updated in place to
+        match the new state.
+        """
         # Counters only: a cone replay is far too hot (and too short)
         # for a span per call; ``trace-report`` derives mean wave size
         # from changed_rows / calls.
@@ -159,6 +211,14 @@ class IncrementalBackend(FusedBackend):
         ).reshape(len(changed_rows), num_words)
         return rows
 
+    def gather_or_segments(
+        self, source: np.ndarray, indices: np.ndarray, offsets: np.ndarray
+    ) -> np.ndarray:
+        """Segmented bitset OR: gather ``source`` rows by ``indices`` and
+        OR-reduce each ``offsets`` segment (the separation-matrix BFS
+        step)."""
+        return np.bitwise_or.reduceat(source[indices], offsets, axis=0)
+
     # ---------------------------------------------------------------- internal
     def _plan(self, cg: CompiledGraph) -> tuple:
         """Native-python event plan for one compiled graph (cached).
@@ -211,3 +271,7 @@ class IncrementalBackend(FusedBackend):
             self._plans.pop(next(iter(self._plans)))
         self._plans[id(cg)] = (cg, plan)
         return plan
+
+
+#: The shared kernel instance every simulator, engine and BFS runs on.
+KERNEL = SimBackend()

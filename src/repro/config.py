@@ -109,21 +109,17 @@ class EvolutionParams:
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Simulation-backend selection (see :mod:`repro.backend`).
+    """Simulation settings: there is one kernel (:mod:`repro.backend`),
+    so ``backend`` accepts only ``"auto"``."""
 
-    ``backend`` is a registered backend name (``numpy`` / ``fused`` /
-    ``incremental``) or ``"auto"``, which defers to the
-    ``REPRO_SIM_BACKEND`` environment variable and then the library
-    default.  The value is resolved lazily by
-    :func:`repro.backend.get_backend` at each consumer, so this module
-    stays free of kernel imports.
-    """
-
+    # Kept only because the benchmark harness (perfbench/worker.py) reads it.
     backend: str = "auto"
 
     def __post_init__(self) -> None:
-        if not self.backend:
-            raise OptimizationError("simulation backend must be a non-empty name")
+        if self.backend != "auto":
+            raise OptimizationError(
+                f"unknown simulation backend {self.backend!r}; only 'auto' exists"
+            )
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ Usage::
     python -m repro.experiments campaign [--circuits c432,c880]
         [--stages separation,stuck-at,atpg,optimize] [--jobs N]
         [--cache-dir DIR] [--out manifest.json] [--resume MANIFEST]
-        [--trace TRACE.json] [--prom FILE.prom] [--watch [SECONDS]]
+        [--trace TRACE.json] [--prom FILE.prom]
         [--heartbeat SECONDS] [--stall-after SECONDS]
         [--task-timeout SECONDS] [--task-retries N] [--seed S] [--full]
     python -m repro.experiments status RUN [--watch [SECONDS]]
@@ -29,12 +29,11 @@ Prometheus textfile for the node-exporter textfile collector.
 ``--heartbeat`` / ``--stall-after`` set the worker heartbeat interval
 and the soft stall threshold (the environment channel
 ``REPRO_HEARTBEAT`` / ``REPRO_STALL_AFTER``, so they reach pool
-workers); ``--watch`` renders the status ledger to stderr while the
-campaign runs.  ``status`` renders a run's status.json once — or
+workers).  ``status`` renders a run's status.json once — or
 repeatedly with ``--watch`` until the run reports done — for watching
-a campaign started elsewhere.  ``trace-report`` summarizes a trace
-file in the terminal.  A campaign with failed stages exits 1 (the
-manifest still records every entry).
+a running campaign from another terminal.  ``trace-report`` summarizes
+a trace file in the terminal.  A campaign with failed stages exits 1
+(the manifest still records every entry).
 """
 
 from __future__ import annotations
@@ -80,7 +79,6 @@ def _run_campaign(args) -> int:
         CampaignConfig,
         render_manifest,
         run_campaign,
-        status_path,
     )
 
     # Executor knobs travel by environment so they reach pool workers
@@ -93,10 +91,6 @@ def _run_campaign(args) -> int:
         os.environ["REPRO_HEARTBEAT"] = str(args.heartbeat)
     if args.stall_after is not None:
         os.environ["REPRO_STALL_AFTER"] = str(args.stall_after)
-    if args.watch is not None and not args.out:
-        print("campaign: --watch needs --out (it polls <out>.status.json)",
-              file=sys.stderr)
-        return 2
     config = CampaignConfig(
         circuits=tuple(c.strip() for c in args.circuits.split(",") if c.strip()),
         stages=tuple(s.strip() for s in args.stages.split(",") if s.strip()),
@@ -109,51 +103,9 @@ def _run_campaign(args) -> int:
         trace=args.trace,
         prom=args.prom,
     )
-    watcher = (
-        _start_watcher(status_path(args.out), args.watch)
-        if args.watch is not None
-        else None
-    )
-    try:
-        manifest = run_campaign(config)
-    finally:
-        if watcher is not None:
-            watcher()
+    manifest = run_campaign(config)
     print(render_manifest(manifest))
     return 1 if manifest["totals"].get("failed") else 0
-
-
-def _start_watcher(path, interval: float):
-    """Start the ``--watch`` thread: poll ``path`` and render it to
-    stderr whenever it changes.  Returns the stop function.  Side
-    channel only — rendering failures must never touch the campaign."""
-    import threading
-
-    from repro.obs.live import render_status
-
-    stop = threading.Event()
-
-    def watch() -> None:
-        last = None
-        while not stop.wait(interval):
-            try:
-                status = json.loads(Path(path).read_text())
-            except (OSError, json.JSONDecodeError):
-                continue
-            stamp = status.get("updated_unix")
-            if stamp == last:
-                continue
-            last = stamp
-            print(render_status(status), file=sys.stderr, flush=True)
-
-    thread = threading.Thread(target=watch, name="repro-watch", daemon=True)
-    thread.start()
-
-    def stopper() -> None:
-        stop.set()
-        thread.join(timeout=interval + 1.0)
-
-    return stopper
 
 
 def _resolve_status_path(run: str) -> Path:
@@ -290,16 +242,6 @@ def main(argv: list[str] | None = None) -> int:
         help="soft stall threshold before the hard task timeout "
         "(sets $REPRO_STALL_AFTER; default: that variable, then "
         "half the task timeout)",
-    )
-    campaign.add_argument(
-        "--watch",
-        type=float,
-        nargs="?",
-        const=2.0,
-        default=None,
-        metavar="SECONDS",
-        help="render <out>.status.json to stderr while the campaign "
-        "runs, polling every SECONDS (default 2); requires --out",
     )
     campaign.add_argument("--seed", type=int, default=1995)
     campaign.add_argument("--full", action="store_true", help="full (slow) budgets")

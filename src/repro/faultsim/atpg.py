@@ -18,11 +18,11 @@ The search runs on a persistent
 :class:`~repro.faultsim.engine.CoverageEngine`: one engine per
 generation call, so each hill-climb step costs one simulation of the
 flip-neighbourhood batch against the cached leak tables and module
-grouping instead of a full simulator rebuild.  With an incremental
-simulation backend (the default — see :mod:`repro.backend`) the step
-shrinks further: consecutive :func:`_search_activating_vector` batches
-differ in exactly one input column, so the engine re-simulates only
-that input's fanout cone instead of the whole circuit.
+grouping instead of a full simulator rebuild.  The kernel's event-driven
+replay (see :mod:`repro.backend.kernel`) shrinks the step further:
+consecutive :func:`_search_activating_vector` batches differ in exactly
+one input column, so the engine re-simulates only that input's fanout
+cone instead of the whole circuit.
 :func:`reference_generate_iddq_tests` drives the identical search
 through the one-shot reference ``detection_matrix`` — the equivalence
 suite asserts both return the same test set, bit for bit.
@@ -41,7 +41,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.backend import SimBackend
 from repro.errors import FaultSimError
 from repro.faultsim.coverage import detection_matrix
 from repro.faultsim.engine import CoverageEngine
@@ -105,7 +104,6 @@ def generate_iddq_tests(
     flip_budget: int = 24,
     compact: bool = True,
     engine: CoverageEngine | None = None,
-    backend: str | SimBackend | None = None,
     defect_parallel: bool = False,
     jobs: int | None = None,
 ) -> IDDQTestSet:
@@ -119,10 +117,7 @@ def generate_iddq_tests(
         compact: greedily minimise the final vector set.
         engine: reuse an existing :class:`CoverageEngine` (one is built
             when omitted; mutually exclusive with ``library`` /
-            ``technology`` / ``backend``, which a passed engine already
-            carries).
-        backend: simulation-backend selection for the built engine (a
-            registered name or ``None``/``"auto"`` for the default).
+            ``technology``, which a passed engine already carries).
         defect_parallel: opt into the defect-parallel targeted phase —
             one independent seeded RNG stream per defect (stream id
             ``f"{seed}:{defect_index}"``), sharded across the runtime's
@@ -134,21 +129,15 @@ def generate_iddq_tests(
             defers to ``REPRO_JOBS``; only meaningful with
             ``defect_parallel=True``).
     """
-    if engine is not None and (
-        library is not None or technology is not None or backend is not None
-    ):
+    if engine is not None and (library is not None or technology is not None):
         raise FaultSimError(
-            "pass either an engine or a library/technology/backend, not "
+            "pass either an engine or a library/technology, not "
             "both — the engine already carries its own characterisation"
         )
     search_all = None
     if defect_parallel:
         worker_library = engine.sim.library if engine is not None else library
         worker_technology = engine.technology if engine is not None else technology
-        worker_backend = engine.backend.name if engine is not None else (
-            backend if isinstance(backend, str) else
-            backend.name if backend is not None else None
-        )
 
         def search_all(undetected_indices):
             from repro.runtime.parallel import defect_parallel_targeted
@@ -163,11 +152,10 @@ def generate_iddq_tests(
                 flip_budget=flip_budget,
                 library=worker_library,
                 technology=worker_technology,
-                backend_name=worker_backend,
                 jobs=jobs,
             )
 
-    engine = engine or CoverageEngine(circuit, library, technology, backend=backend)
+    engine = engine or CoverageEngine(circuit, library, technology)
     return _generate(
         lambda ds, ps: engine.detection_matrix(partition, ds, ps),
         circuit,

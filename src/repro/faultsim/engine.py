@@ -41,7 +41,6 @@ from typing import Sequence
 import numpy as np
 
 from repro import obs
-from repro.backend import SimBackend, get_backend
 from repro.faultsim.coverage import CoverageReport, effective_thresholds_ua
 from repro.faultsim.faults import BridgingFault, Defect, GateOxideShort, StuckOnTransistor
 from repro.faultsim.iddq import IDDQSimulator
@@ -84,12 +83,10 @@ class CoverageEngine:
         circuit: Circuit,
         library: CellLibrary | None = None,
         technology: Technology | None = None,
-        backend: str | SimBackend | None = None,
     ):
         self.circuit = circuit
         self.technology = technology or generic_technology()
-        self.backend = get_backend(backend)
-        self.sim = IDDQSimulator(circuit, library, backend=self.backend)
+        self.sim = IDDQSimulator(circuit, library)
         # Content-addressed simulation-state cache: batch digest ->
         # [patterns copy, values, unpacked bits, lazy full leakage
         # matrix].  Multiple slots (MRU) so interleaved pattern sets —
@@ -187,9 +184,9 @@ class CoverageEngine:
         batches — an ATPG walk's flip batch against full-pool coverage
         checks, a revisited restart baseline — hit without resimulating.
         A near-miss — same shape as some cached slot, few input columns
-        changed — is patched incrementally from the **closest** slot
-        when the backend supports event-driven replay: only the flipped
-        inputs' fanout cones are re-simulated and re-unpacked (the ATPG
+        changed — is patched incrementally from the **closest** slot by
+        the kernel's event-driven replay: only the flipped inputs'
+        fanout cones are re-simulated and re-unpacked (the ATPG
         hill-climb's step cost).  The module-background cache is tied
         to the *active* slot; switching the active batch clears it.
         """
@@ -201,10 +198,9 @@ class CoverageEngine:
             self._activate(key)
             self._stat("hits")
             return entry[1], entry[2]
-        if self.backend.supports_incremental:
-            prepared = self._prepare_incremental(key, patterns)
-            if prepared is not None:
-                return prepared
+        prepared = self._prepare_incremental(key, patterns)
+        if prepared is not None:
+            return prepared
         values = self.sim.simulate_values(patterns)
         bits = self.sim.unpack_bits(values)
         self._remember(key, [patterns.copy(), values, bits, None])

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backend import SimBackend
 from repro.errors import FaultSimError
 from repro.faultsim.faults import Defect
 from repro.faultsim.logic_sim import LogicSimulator, NodeValues
@@ -44,15 +43,10 @@ class IDDQSimulator:
     #: Most-recently-used (partition -> module index arrays) cache slots.
     _MODULE_CACHE_SLOTS = 8
 
-    def __init__(
-        self,
-        circuit: Circuit,
-        library: CellLibrary | None = None,
-        backend: str | SimBackend | None = None,
-    ):
+    def __init__(self, circuit: Circuit, library: CellLibrary | None = None):
         self.circuit = circuit
         self.library = library or generic_library()
-        self.simulator = LogicSimulator(circuit, backend)
+        self.simulator = LogicSimulator(circuit)
         # Per gate: fanin rows (for state extraction) and a leak table
         # indexed by the packed input state.  Tables are built once per
         # distinct cell and shared between same-cell gates.

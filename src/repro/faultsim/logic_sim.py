@@ -2,28 +2,27 @@
 
 Patterns are packed 64 per machine word; each node's value across all
 patterns is a small ``uint64`` array.  The schedule evaluation itself is
-owned by a pluggable :class:`~repro.backend.base.SimBackend` (see
-:mod:`repro.backend`): the default fused kernel advances a whole batch
-of gates per vectorised dispatch, so there is no per-gate Python at
-all.  Even the 3512-gate C7552 stand-in simulates thousands of patterns
-per millisecond this way — fast enough that IDDQ coverage experiments
-run inside the test suite.
+owned by the :class:`~repro.backend.kernel.SimBackend` kernel: its fused
+full pass advances a whole batch of gates per vectorised dispatch, so
+there is no per-gate Python at all.  Even the 3512-gate C7552 stand-in
+simulates thousands of patterns per millisecond this way — fast enough
+that IDDQ coverage experiments run inside the test suite.
 
-Backends that support event-driven replay additionally enable
+The kernel's event-driven replay additionally enables
 :meth:`LogicSimulator.simulate_delta`: re-simulating a pattern batch
 that differs from an already-simulated one in a few input columns costs
 only the flipped inputs' fanout cones.
 
 :class:`ReferenceLogicSimulator` keeps the original per-gate schedule as
-the executable specification; the equivalence suite asserts every
-backend produces bit-identical packed words.
+the executable specification; the equivalence suite asserts the kernel
+produces bit-identical packed words.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.backend import SimBackend, get_backend
+from repro.backend import KERNEL
 from repro.errors import FaultSimError
 from repro.netlist.circuit import Circuit
 from repro.netlist.gate import GateType
@@ -87,18 +86,11 @@ def _pack_input_columns(patterns: np.ndarray, num_words: int) -> np.ndarray:
 
 
 class LogicSimulator:
-    """Compiled bit-parallel simulator for one circuit.
+    """Compiled bit-parallel simulator for one circuit."""
 
-    ``backend`` selects the kernel implementation — a registered backend
-    name, a :class:`~repro.backend.base.SimBackend` instance, or
-    ``None``/``"auto"`` for the configured default (see
-    :func:`repro.backend.get_backend`).
-    """
-
-    def __init__(self, circuit: Circuit, backend: str | SimBackend | None = None):
+    def __init__(self, circuit: Circuit):
         self.circuit = circuit
         self.compiled = circuit.compiled
-        self.backend = get_backend(backend)
         self.row_of = {name: i for i, name in enumerate(circuit.all_names)}
 
     def _check_patterns(self, input_patterns: np.ndarray) -> np.ndarray:
@@ -142,7 +134,7 @@ class LogicSimulator:
                 rows.append(row)
             pinned_rows = np.asarray(rows, dtype=np.int32)
 
-        self.backend.run_schedule(cg, packed, pinned_rows)
+        KERNEL.run_schedule(cg, packed, pinned_rows)
         return NodeValues(packed[: cg.num_nodes], self.row_of, num_patterns)
 
     def simulate_delta(
@@ -166,16 +158,13 @@ class LogicSimulator:
         differ (saving the full input re-pack when the caller already
         diffed the batches); columns outside it must be unchanged.
 
-        Falls back to a full :meth:`simulate` when the backend has no
-        incremental support or the batch size changed.
+        Falls back to a full :meth:`simulate` when the batch size
+        changed.
         """
         patterns = self._check_patterns(input_patterns)
         num_patterns = patterns.shape[0]
         cg = self.compiled
-        if (
-            not self.backend.supports_incremental
-            or num_patterns != baseline.num_patterns
-        ):
+        if num_patterns != baseline.num_patterns:
             values = self.simulate(patterns)
             if return_changed:
                 return values, np.arange(cg.num_nodes, dtype=np.int32)
@@ -198,19 +187,17 @@ class LogicSimulator:
         )
         changed_cols = changed_cols[really]
         changed_inputs = cg.input_node[changed_cols]
-        # Steal the baseline's backend value cache (rows materialised in
-        # the backend's working representation).  Stealing — rather than
-        # copying — is safe because a baseline without a cache merely
-        # re-materialises rows lazily; it lets a walk of consecutive
-        # deltas convert each touched row once.
+        # Steal the baseline's kernel value cache (rows materialised as
+        # Python ints).  Stealing — rather than copying — is safe
+        # because a baseline without a cache merely re-materialises rows
+        # lazily; it lets a walk of consecutive deltas convert each
+        # touched row once.
         value_cache = baseline.__dict__.pop("_backend_value_cache", {})
         if changed_cols.size:
             state[changed_inputs] = new_words[really]
             for row in changed_inputs.tolist():
                 value_cache.pop(row, None)
-            cone = self.backend.run_cone(
-                cg, state, changed_inputs, value_cache=value_cache
-            )
+            cone = KERNEL.run_cone(cg, state, changed_inputs, value_cache=value_cache)
         else:
             cone = np.empty(0, dtype=np.int32)
         values = NodeValues(state[: cg.num_nodes], self.row_of, num_patterns)

@@ -42,7 +42,6 @@ from typing import Sequence
 import numpy as np
 
 from repro import obs
-from repro.backend import SimBackend
 from repro.faultsim.logic_sim import LogicSimulator
 from repro.errors import FaultSimError
 from repro.netlist.circuit import Circuit
@@ -117,9 +116,9 @@ class StuckAtSimulator:
     #: Faults simulated per batched compiled-graph pass.
     batch_faults = 64
 
-    def __init__(self, circuit: Circuit, backend: str | SimBackend | None = None):
+    def __init__(self, circuit: Circuit):
         self.circuit = circuit
-        self.simulator = LogicSimulator(circuit, backend)
+        self.simulator = LogicSimulator(circuit)
         self._cg = circuit.compiled
         self.row_of = self.simulator.row_of
         # Output bookkeeping: node row per primary output, in output order.
@@ -168,13 +167,7 @@ class StuckAtSimulator:
         if jobs is not None and jobs > 1:
             from repro.runtime.parallel import sharded_detection_matrix
 
-            return sharded_detection_matrix(
-                self.circuit,
-                faults,
-                patterns,
-                jobs=jobs,
-                backend=self.simulator.backend.name,
-            )
+            return sharded_detection_matrix(self.circuit, faults, patterns, jobs=jobs)
         num_patterns = patterns.shape[0]
         with obs.TRACER.span(
             "detection_matrix",
@@ -275,8 +268,7 @@ class StuckAtSimulator:
         ``out_closure[n]`` ORs the reachable primary-output positions
         (including ``n`` itself when it is an output).  The companion
         reachable-*slot* bitsets live on the compiled graph
-        (:meth:`CompiledGraph.slot_closure`) where the incremental
-        simulation backend shares them.
+        (:meth:`CompiledGraph.slot_closure`).
         """
         cg = self._cg
         out_words = (len(self._out_nodes) + _WORD - 1) // _WORD

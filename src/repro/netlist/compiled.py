@@ -243,31 +243,13 @@ class CompiledGraph:
             object.__setattr__(self, "_fused_schedule", cached)
         return cached
 
-    def group_of_slot(self) -> np.ndarray:
-        """Sim-group id per simulation slot (cached).
-
-        The inverse of :attr:`sim_group_offsets` as a direct int32
-        lookup — event-driven consumers map a slot to its schedule
-        batch without a ``searchsorted`` per event.
-        """
-        cached = self.__dict__.get("_group_of_slot")
-        if cached is None:
-            cached = np.repeat(
-                np.arange(len(self.sim_groups), dtype=np.int32),
-                np.diff(self.sim_group_offsets),
-            )
-            object.__setattr__(self, "_group_of_slot", cached)
-        return cached
-
     def slot_closure(self) -> np.ndarray:
         """Per-node reachable-slot bitsets (cached).
 
         ``slot_closure()[n]`` ORs the simulation-slot bits of every gate
         reachable from node ``n`` through the fanout CSR (including
-        ``n`` itself when it is a gate) — the fault cone structure the
-        stuck-at engine introduced, shared here so the incremental
-        event-driven backend can reuse it for flip-neighbourhood
-        propagation.  Built by one reverse-topological sweep.
+        ``n`` itself when it is a gate) — the fault cone structure of
+        the stuck-at engine.  Built by one reverse-topological sweep.
         """
         cached = self.__dict__.get("_slot_closure")
         if cached is None:

@@ -295,14 +295,23 @@ def metrics_enabled() -> bool:
     return METRICS.enabled
 
 
-def enable(trace: bool | None = None, metrics: bool | None = None) -> None:
+_OMITTED = object()
+
+
+def enable(trace: bool | None = _OMITTED, metrics: bool | None = _OMITTED) -> None:
     """Programmatically flip the singletons (``None`` leaves a flag
     untouched).  Used by the campaign CLI and tests; prefer the
     environment variables for anything that spawns workers, so the
-    setting crosses the process boundary by inheritance."""
-    if trace is not None:
+    setting crosses the process boundary by inheritance.
+
+    Raises ``TypeError`` when called with neither keyword: a bare
+    ``enable()`` would otherwise silently do nothing.
+    """
+    if trace is _OMITTED and metrics is _OMITTED:
+        raise TypeError("obs.enable() needs trace= and/or metrics=")
+    if trace is not _OMITTED and trace is not None:
         TRACER.enabled = trace
-    if metrics is not None:
+    if metrics is not _OMITTED and metrics is not None:
         METRICS.enabled = metrics
 
 

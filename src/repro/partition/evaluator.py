@@ -109,9 +109,6 @@ class PartitionEvaluator:
         time_resolved_degradation: evaluate δ(g,t) at each gate's own
             transition times instead of the module's worst slot
             (see DESIGN.md §6.4 and the ablation bench).
-        backend: simulation-backend selection for the bitset kernels
-            (a registered name, a backend instance, or ``None``/"auto"
-            for the configured default — see :mod:`repro.backend`).
         state_impl: evaluation-state implementation handed out by
             :meth:`new_state` — ``"dense"`` (the transactional
             array-backed core, default) or ``"reference"`` (the
@@ -129,7 +126,6 @@ class PartitionEvaluator:
         weights: CostWeights | None = None,
         degradation: DelayDegradationModel | None = None,
         time_resolved_degradation: bool = False,
-        backend=None,
         state_impl: str = "dense",
         separation: SeparationMatrix | None = None,
     ):
@@ -159,9 +155,7 @@ class PartitionEvaluator:
                 )
             self.separation = separation
         else:
-            self.separation = SeparationMatrix(
-                circuit, self.technology.separation_cap, backend=backend
-            )
+            self.separation = SeparationMatrix(circuit, self.technology.separation_cap)
         # Cached on the compiled graph: evaluators of the same circuit
         # share one level structure and its incremental engine.
         self.timing = levelized_timing(circuit)

@@ -52,10 +52,10 @@ __all__ = [
 
 
 # ------------------------------------------------------------------ stuck-at
-def _stuck_state(circuit, faults, patterns, backend):
+def _stuck_state(circuit, faults, patterns):
     from repro.faultsim.stuck_at import StuckAtSimulator
 
-    return (StuckAtSimulator(circuit, backend), faults, patterns)
+    return (StuckAtSimulator(circuit), faults, patterns)
 
 
 def _stuck_shard(state, task):
@@ -69,14 +69,11 @@ def sharded_detection_matrix(
     faults: Sequence,
     patterns: np.ndarray,
     jobs: int | None = None,
-    backend: str | None = None,
 ) -> np.ndarray:
     """Stuck-at detection matrix sharded across workers by fault range.
 
     Bit-identical to ``StuckAtSimulator(circuit).detection_matrix(...)``
     at any worker count.  With ``jobs <= 1`` this *is* that call.
-    ``backend`` is a registered simulation-backend *name* (names, not
-    instances, cross the process boundary).
 
     Tasks are ``(start, stop)`` index ranges — the fault list rides in
     the worker state (inherited free under fork, pickled once per
@@ -86,7 +83,7 @@ def sharded_detection_matrix(
 
     executor = Executor(jobs)
     if executor.serial or len(faults) <= 1:
-        return StuckAtSimulator(circuit, backend).detection_matrix(faults, patterns)
+        return StuckAtSimulator(circuit).detection_matrix(faults, patterns)
     with obs.TRACER.span(
         "driver.detection_matrix",
         circuit=circuit.name,
@@ -108,7 +105,7 @@ def sharded_detection_matrix(
         results = executor.map(
             _stuck_shard,
             tasks,
-            state_factory=partial(_stuck_state, circuit, faults, patterns, backend),
+            state_factory=partial(_stuck_state, circuit, faults, patterns),
         )
         out = np.zeros((len(faults), patterns.shape[0]), dtype=np.bool_)
         for start, submatrix in results:
@@ -128,10 +125,10 @@ def defect_stream_seed(seed: int, defect_index: int) -> str:
     return f"{seed}:{defect_index}"
 
 
-def _atpg_state(circuit, partition, library, technology, backend_name):
+def _atpg_state(circuit, partition, library, technology):
     from repro.faultsim.engine import CoverageEngine
 
-    engine = CoverageEngine(circuit, library, technology, backend=backend_name)
+    engine = CoverageEngine(circuit, library, technology)
     return (engine, partition)
 
 
@@ -162,7 +159,6 @@ def defect_parallel_targeted(
     flip_budget: int,
     library=None,
     technology=None,
-    backend_name: str | None = None,
     jobs: int | None = None,
 ) -> dict[int, np.ndarray]:
     """Activating vectors for every undetected defect, defect-parallel.
@@ -188,9 +184,7 @@ def defect_parallel_targeted(
         results = executor.map(
             _atpg_search,
             tasks,
-            state_factory=partial(
-                _atpg_state, circuit, partition, library, technology, backend_name
-            ),
+            state_factory=partial(_atpg_state, circuit, partition, library, technology),
         )
         return {index: vector for index, vector in results if vector is not None}
 

@@ -1,9 +1,8 @@
-"""Backend registry + backend-parametrized equivalence suite.
+"""Simulation-kernel equivalence suite.
 
-Every registered simulation backend must produce bit-identical packed
-words, detection matrices and engine results; these tests parametrize
-over :func:`repro.backend.available_backends` so a newly registered
-backend is pulled into the contract automatically.
+The fused full pass of :class:`repro.backend.SimBackend` must produce
+packed words and detection matrices bit-identical to the per-gate
+reference simulator.
 """
 
 from __future__ import annotations
@@ -11,17 +10,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.backend import (
-    DEFAULT_BACKEND,
-    FusedBackend,
-    IncrementalBackend,
-    NumpyBackend,
-    SimBackend,
-    available_backends,
-    get_backend,
-)
-from repro.config import EvolutionParams, SimulationConfig, SynthesisConfig
-from repro.errors import FaultSimError
 from repro.faultsim.logic_sim import LogicSimulator, ReferenceLogicSimulator
 from repro.faultsim.patterns import exhaustive_patterns, random_patterns
 from repro.faultsim.stuck_at import (
@@ -45,117 +33,45 @@ def _generated(seed: int, gates: int = 120, depth: int = 9):
     )
 
 
-class TestRegistry:
-    def test_builtin_backends_registered(self):
-        names = available_backends()
-        assert {"numpy", "fused", "incremental"} <= set(names)
-
-    def test_get_backend_by_name(self):
-        assert isinstance(get_backend("numpy"), NumpyBackend)
-        assert isinstance(get_backend("fused"), FusedBackend)
-        assert isinstance(get_backend("incremental"), IncrementalBackend)
-
-    def test_default_resolution(self):
-        assert get_backend(None).name == DEFAULT_BACKEND
-        assert get_backend("auto").name == DEFAULT_BACKEND
-
-    def test_env_knob_overrides_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_BACKEND", "numpy")
-        assert get_backend(None).name == "numpy"
-        assert get_backend("auto").name == "numpy"
-        # An explicit name still wins over the environment.
-        assert get_backend("fused").name == "fused"
-
-    def test_instance_passthrough(self):
-        backend = get_backend("fused")
-        assert get_backend(backend) is backend
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(FaultSimError, match="unknown simulation backend"):
-            get_backend("cuda")
-
-    def test_simulation_config_threads_through(self):
-        config = SynthesisConfig()
-        assert config.simulation.backend == "auto"
-        assert get_backend(config.simulation.backend).name == DEFAULT_BACKEND
-        named = SimulationConfig(backend="numpy")
-        assert get_backend(named.backend).name == "numpy"
-
-    def test_flow_consumes_simulation_config(self, c17_paper):
-        """The synthesis flow resolves ``config.simulation.backend`` —
-        a spy backend registered under a test name must see the
-        separation-matrix kernel calls."""
-        from repro.backend import register_backend
-        from repro.flow.synthesis import synthesize_iddq_testable
-
-        class SpyBackend(FusedBackend):
-            name = "spy-flow"
-            calls = 0
-
-            def gather_or_segments(self, source, indices, offsets):
-                type(self).calls += 1
-                return super().gather_or_segments(source, indices, offsets)
-
-        register_backend(SpyBackend())
-        config = SynthesisConfig(
-            evolution=EvolutionParams(
-                mu=2, children_per_parent=1, generations=2, convergence_window=2
-            ),
-            simulation=SimulationConfig(backend="spy-flow"),
-        )
-        synthesize_iddq_testable(c17_paper, config=config, seed=3)
-        assert SpyBackend.calls > 0
-
-    def test_incremental_capability_flags(self):
-        assert get_backend("incremental").supports_incremental
-        assert not get_backend("numpy").supports_incremental
-        assert not get_backend("fused").supports_incremental
-        with pytest.raises(FaultSimError, match="incremental"):
-            base = SimBackend()
-            base.name = "base"
-            base.run_cone(None, None, None)
-
-
-@pytest.mark.parametrize("backend", available_backends())
 class TestBackendEquivalence:
-    """Every backend reproduces the per-gate reference bit for bit."""
+    """The kernel reproduces the per-gate reference bit for bit."""
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_packed_words_match_reference(self, backend, seed):
+    def test_packed_words_match_reference(self, seed):
         circuit = _generated(seed)
         patterns = random_patterns(len(circuit.input_names), 130, seed=seed)
-        fast = LogicSimulator(circuit, backend=backend).simulate(patterns)
+        fast = LogicSimulator(circuit).simulate(patterns)
         slow = ReferenceLogicSimulator(circuit).simulate(patterns)
         for name in circuit.all_names:
             assert np.array_equal(
                 fast.packed[fast.row_of[name]], slow.packed[slow.row_of[name]]
-            ), f"{backend}: node {name}"
+            ), f"node {name}"
 
-    def test_c17_exhaustive(self, backend, c17_circuit):
+    def test_c17_exhaustive(self, c17_circuit):
         patterns = exhaustive_patterns(5)
-        fast = LogicSimulator(c17_circuit, backend=backend).simulate_outputs(patterns)
+        fast = LogicSimulator(c17_circuit).simulate_outputs(patterns)
         slow = ReferenceLogicSimulator(c17_circuit).simulate_outputs(patterns)
         assert np.array_equal(fast, slow)
 
-    def test_pinned_nets_survive(self, backend):
+    def test_pinned_nets_survive(self):
         circuit = _generated(4)
         patterns = random_patterns(len(circuit.input_names), 77, seed=4)
-        sim = LogicSimulator(circuit, backend=backend)
+        sim = LogicSimulator(circuit)
         gate = circuit.gate_names[len(circuit.gate_names) // 2]
         values = sim.simulate(patterns, pinned={gate: 1})
         assert np.all(values.node_bits(gate) == 1)
         # A pinned net's effect matches the reference stuck-at path.
         reference = ReferenceStuckAtSimulator(circuit)
-        fast = StuckAtSimulator(circuit, backend=backend)
+        fast = StuckAtSimulator(circuit)
         faults = enumerate_stuck_at_faults(circuit)[:40]
         assert np.array_equal(
             fast.detection_matrix(faults, patterns),
             reference.detection_matrix(faults, patterns),
         )
 
-    def test_word_boundary_pattern_counts(self, backend, c17_circuit):
+    def test_word_boundary_pattern_counts(self, c17_circuit):
         slowsim = ReferenceLogicSimulator(c17_circuit)
-        fastsim = LogicSimulator(c17_circuit, backend=backend)
+        fastsim = LogicSimulator(c17_circuit)
         for count in (1, 63, 64, 65, 129):
             patterns = random_patterns(5, count, seed=count)
             assert np.array_equal(

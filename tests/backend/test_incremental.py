@@ -1,6 +1,6 @@
 """Incremental (event-driven) engine vs full re-simulation.
 
-The incremental backend's contract is *bit-identity*: patching a
+The event-driven replay's contract is *bit-identity*: patching a
 baseline through :meth:`LogicSimulator.simulate_delta` must produce
 exactly the packed words a full simulation of the new batch produces,
 for any flip pattern — single column, many columns, no-op flips, and
@@ -43,25 +43,24 @@ class TestSimulateDelta:
         """Chained walk: multi-column and no-op flips, every step
         compared against a from-scratch full simulation."""
         circuit = _generated(seed)
-        full = LogicSimulator(circuit, backend="fused")
-        inc = LogicSimulator(circuit, backend="incremental")
+        sim = LogicSimulator(circuit)
         rng = np.random.default_rng(seed)
         num_inputs = len(circuit.input_names)
         patterns = rng.integers(0, 2, size=(130, num_inputs)).astype(np.uint8)
-        current = inc.simulate(patterns)
+        current = sim.simulate(patterns)
         # flip widths include 0 (no-op) and multi-column sets
         for flips in (1, 0, 2, 5, 1, num_inputs):
             patterns = patterns.copy()
             cols = rng.choice(num_inputs, size=flips, replace=False)
             for col in cols:
                 patterns[:, col] ^= rng.integers(0, 2, size=130).astype(np.uint8)
-            current = inc.simulate_delta(current, patterns)
-            expected = full.simulate(patterns)
+            current = sim.simulate_delta(current, patterns)
+            expected = sim.simulate(patterns)
             assert np.array_equal(current.packed, expected.packed), f"flips={flips}"
 
     def test_noop_flip_returns_equal_state(self):
         circuit = _generated(9)
-        inc = LogicSimulator(circuit, backend="incremental")
+        inc = LogicSimulator(circuit)
         patterns = random_patterns(len(circuit.input_names), 65, seed=9)
         base = inc.simulate(patterns)
         values, changed = inc.simulate_delta(
@@ -72,7 +71,7 @@ class TestSimulateDelta:
 
     def test_changed_rows_cover_every_difference(self):
         circuit = _generated(10)
-        inc = LogicSimulator(circuit, backend="incremental")
+        inc = LogicSimulator(circuit)
         rng = np.random.default_rng(10)
         num_inputs = len(circuit.input_names)
         patterns = rng.integers(0, 2, size=(70, num_inputs)).astype(np.uint8)
@@ -86,7 +85,7 @@ class TestSimulateDelta:
 
     def test_baseline_is_not_mutated(self):
         circuit = _generated(11)
-        inc = LogicSimulator(circuit, backend="incremental")
+        inc = LogicSimulator(circuit)
         patterns = random_patterns(len(circuit.input_names), 66, seed=11)
         base = inc.simulate(patterns)
         snapshot = base.packed.copy()
@@ -97,23 +96,12 @@ class TestSimulateDelta:
 
     def test_batch_size_change_falls_back_to_full(self):
         circuit = _generated(12)
-        inc = LogicSimulator(circuit, backend="incremental")
-        fused = LogicSimulator(circuit, backend="fused")
-        base = inc.simulate(random_patterns(len(circuit.input_names), 64, seed=12))
+        sim = LogicSimulator(circuit)
+        base = sim.simulate(random_patterns(len(circuit.input_names), 64, seed=12))
         other = random_patterns(len(circuit.input_names), 96, seed=13)
         assert np.array_equal(
-            inc.simulate_delta(base, other).packed, fused.simulate(other).packed
+            sim.simulate_delta(base, other).packed, sim.simulate(other).packed
         )
-
-    def test_non_incremental_backend_falls_back_to_full(self):
-        circuit = _generated(13)
-        sim = LogicSimulator(circuit, backend="numpy")
-        patterns = random_patterns(len(circuit.input_names), 64, seed=14)
-        base = sim.simulate(patterns)
-        flipped = patterns.copy()
-        flipped[:, 1] ^= 1
-        values = sim.simulate_delta(base, flipped)
-        assert np.array_equal(values.packed, sim.simulate(flipped).packed)
 
 
 class TestEngineIncrementalWalk:
@@ -130,7 +118,7 @@ class TestEngineIncrementalWalk:
             circuit, 6, seed=4, current_range_ua=(0.5, 6.0)
         ) + sample_gate_oxide_shorts(circuit, 4, seed=5, current_range_ua=(0.5, 6.0))
         num_inputs = len(circuit.input_names)
-        walking = CoverageEngine(circuit, backend="incremental")
+        walking = CoverageEngine(circuit)
         rng = random.Random(7)
         vector = np.asarray(
             [rng.randint(0, 1) for _ in range(num_inputs)], dtype=np.uint8
@@ -142,7 +130,7 @@ class TestEngineIncrementalWalk:
             for bit in range(num_inputs):
                 batch[bit + 1, bit] ^= 1
             got = walking.detection_matrix(partition, [defects[step % len(defects)]], batch)
-            fresh = CoverageEngine(circuit, backend="numpy").detection_matrix(
+            fresh = CoverageEngine(circuit).detection_matrix(
                 partition, [defects[step % len(defects)]], batch
             )
             assert np.array_equal(got, fresh), f"step {step}"
@@ -157,12 +145,12 @@ class TestEngineIncrementalWalk:
             circuit, 8, seed=6, current_range_ua=(0.5, 6.0)
         )
         patterns = random_patterns(len(circuit.input_names), 50, seed=7)
-        walking = CoverageEngine(circuit, backend="incremental")
+        walking = CoverageEngine(circuit)
         walking.detection_matrix(partition, defects, patterns)
         stepped = patterns.copy()
         stepped[:, 2] ^= 1
         report = walking.evaluate_coverage(partition, defects, stepped)
-        fresh = CoverageEngine(circuit, backend="numpy").evaluate_coverage(
+        fresh = CoverageEngine(circuit).evaluate_coverage(
             partition, defects, stepped
         )
         assert report.thresholds_ua == fresh.thresholds_ua

@@ -278,9 +278,8 @@ class TestStateReuse:
         walked = baseline.copy()
         walked[:, 1] ^= 1  # one flipped input column: the next step
         engine.prepared_values(walked)
-        if engine.backend.supports_incremental:
-            assert engine.state_stats["patches"] == 1
-            assert engine.state_stats["full"] == 2
+        assert engine.state_stats["patches"] == 1
+        assert engine.state_stats["full"] == 2
 
     def test_patched_and_hit_states_stay_exact(self, setup):
         circuit, partition, defects, _ = setup

@@ -105,6 +105,23 @@ class TestCLI:
         with pytest.raises(SystemExit, match="neither a file"):
             main(["stats", "c000"])
 
+    @pytest.mark.parametrize("kind", ["input-only", "empty", "directory"])
+    def test_malformed_netlist_exits_with_error(self, kind, tmp_path, capsys):
+        from repro.__main__ import main
+
+        path = tmp_path / "bad.bench"
+        if kind == "input-only":
+            path.write_text("INPUT(a)\nINPUT(b)\nOUTPUT(a)\n")
+        elif kind == "empty":
+            path.write_text("")
+        else:
+            path.mkdir()
+        for command in ("stats", "synth", "compare"):
+            with pytest.raises(SystemExit) as excinfo:
+                main([command, str(path)])
+            assert str(excinfo.value.code).startswith("error:"), excinfo.value.code
+            assert "Traceback" not in capsys.readouterr().err
+
     def test_experiments_list_delegated(self, capsys):
         from repro.__main__ import main
 

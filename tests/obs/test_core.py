@@ -130,3 +130,9 @@ class TestRuntimeConfig:
         assert obs.enabled_state() == (True, True)
         RuntimeConfig(trace=False, metrics=False).apply_observability()
         assert obs.enabled_state() == (False, False)
+
+    def test_enable_needs_a_flag(self):
+        with pytest.raises(TypeError, match="trace=.*metrics="):
+            obs.enable()
+        obs.enable(trace=True, metrics=None)  # explicit None: untouched
+        assert obs.enabled_state() == (True, False)

@@ -45,6 +45,20 @@ class TestArtifactRecipes:
         _, hit = cached_separation_matrix(store, small_circuit, 9)
         assert not hit
 
+    def test_separation_backend_accepts_only_auto(self, store, small_circuit):
+        from repro.config import SimulationConfig, SynthesisConfig
+        from repro.errors import OptimizationError
+
+        assert SynthesisConfig().simulation == SimulationConfig(backend="auto")
+        fresh = SeparationMatrix(small_circuit, 8).matrix
+        for backend in (None, "auto"):
+            got, _ = cached_separation_matrix(store, small_circuit, 8, backend=backend)
+            assert np.array_equal(got.matrix, fresh)
+        with pytest.raises(OptimizationError, match="unknown simulation backend"):
+            cached_separation_matrix(store, small_circuit, 8, backend="numpy")
+        with pytest.raises(OptimizationError, match="unknown simulation backend"):
+            SimulationConfig(backend="fused")
+
     def test_detection_matrix_round_trip_exact(self, store, small_circuit):
         faults = enumerate_stuck_at_faults(small_circuit)[:64]
         patterns = random_patterns(len(small_circuit.input_names), 50, seed=4)
@@ -295,9 +309,3 @@ class TestCampaignStatus:
         bad.write_text("{torn")
         assert main(["status", str(bad)]) == 1
         assert "not valid JSON" in capsys.readouterr().err
-
-    def test_campaign_watch_requires_out(self, capsys):
-        from repro.experiments.__main__ import main
-
-        assert main(["campaign", "--circuits", "c432", "--watch"]) == 2
-        assert "--watch needs --out" in capsys.readouterr().err
