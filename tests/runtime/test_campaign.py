@@ -46,18 +46,14 @@ class TestArtifactRecipes:
         assert not hit
 
     def test_separation_backend_accepts_only_auto(self, store, small_circuit):
-        from repro.config import SimulationConfig, SynthesisConfig
         from repro.errors import OptimizationError
 
-        assert SynthesisConfig().simulation == SimulationConfig(backend="auto")
         fresh = SeparationMatrix(small_circuit, 8).matrix
         for backend in (None, "auto"):
             got, _ = cached_separation_matrix(store, small_circuit, 8, backend=backend)
             assert np.array_equal(got.matrix, fresh)
         with pytest.raises(OptimizationError, match="unknown simulation backend"):
             cached_separation_matrix(store, small_circuit, 8, backend="numpy")
-        with pytest.raises(OptimizationError, match="unknown simulation backend"):
-            SimulationConfig(backend="fused")
 
     def test_detection_matrix_round_trip_exact(self, store, small_circuit):
         faults = enumerate_stuck_at_faults(small_circuit)[:64]
