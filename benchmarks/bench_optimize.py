@@ -39,11 +39,18 @@ move, no clone) was already clone-free, so the two legs are near
 parity.  Results land in ``BENCH_optimize.json`` via the bench-smoke
 job.
 
-A final section floors the batched candidate *scoring* kernels the KL
-and annealing rewrites run on: one ``trial_moves`` call over a 64-move
-annealing proposal block vs the same block through per-candidate
-``trial_cost`` (≥3x, 4.2x measured), and one ``trial_swaps`` call over
-a 48-pair KL pool vs the per-candidate loop (≥2x, 3.6x measured).
+A final section floors the move-list gain kernel the optimisers score
+through: one ``trial_moves`` call over a 64-move annealing proposal
+block vs the same block through per-candidate ``trial_cost`` (≥3x,
+3.1-7.8x measured), one call over a 48-pair KL pool of two-move swap
+candidates vs the per-candidate loop (≥2x, 3.6-4.9x measured), and
+one call per parent over an ES brood (μ=4 parents × λ=4 mutated and
+χ=2 Monte-Carlo children, drawn by the optimiser's own operators) vs
+the per-child trial loop that applied each child's moves, scored and
+rolled back (≥1.2x, 1.3-1.9x measured over eight runs on a 2-CPU
+container: at C=6 the stacked retime costs about as much as six
+full sweeps, so the win is the per-move journaling, refreshes and
+Python work the kernel skips).
 Scores are asserted bit-identical between legs — the property the walk
 layers rely on for decision-stream equivalence.  End-to-end *walk*
 time is deliberately not floored: on C7552 ~20-25% of proposals are
@@ -60,7 +67,9 @@ import pytest
 
 from repro.netlist.benchmarks import load_iscas85
 from repro.netlist.compiled import csr_gather
-from repro.optimize.kl import _SwapSampler
+from repro.config import EvolutionParams
+from repro.optimize.evolution import EvolutionOptimizer, _Individual
+from repro.optimize.kl import _SwapSampler, swap_candidates
 from repro.optimize.start import chain_start_partition, estimate_module_count
 from repro.partition.evaluator import PartitionEvaluator
 
@@ -80,6 +89,7 @@ ES_GENERATION_FLOOR = 2.0
 #: what the batched KL/annealing rewrites buy per evaluation).
 ANNEAL_SCORING_FLOOR = 3.0
 KL_SCORING_FLOOR = 2.0
+ES_BROOD_SCORING_FLOOR = 1.2
 
 PENALTY = 1.0e4
 
@@ -502,7 +512,9 @@ def test_anneal_scoring_batched(benchmark, evaluator, start):
     targets = [target for _, target in proposals]
 
     def step(_):
-        _RECORDED["anneal_batch_scores"] = state.trial_moves(gates, targets, PENALTY)
+        _RECORDED["anneal_batch_scores"] = state.trial_moves(
+            [[(gate, target)] for gate, target in zip(gates, targets)], PENALTY
+        )
 
     def run():
         _RECORDED["anneal_scoring_batch"] = _best_of(step)
@@ -547,8 +559,9 @@ def test_kl_scoring_sequential(benchmark, evaluator, start):
 
 
 def test_kl_scoring_batched(benchmark, evaluator, start):
-    """One ``trial_swaps`` call over the same 48-pair pool — the kernel
-    the batched KL pass ranks its swap pools through."""
+    """One ``trial_moves`` call over the same 48-pair pool, each swap a
+    two-move candidate — the call the batched KL pass ranks its swap
+    pools through."""
     state = evaluator.new_state(start)
     state.penalized_cost(PENALTY)
     pool = _draw_swap_pool(state, random.Random(13))
@@ -556,7 +569,9 @@ def test_kl_scoring_batched(benchmark, evaluator, start):
     gates_b = [gate_b for _, gate_b, _, _ in pool]
 
     def step(_):
-        _RECORDED["kl_batch_scores"] = state.trial_swaps(gates_a, gates_b, PENALTY)
+        _RECORDED["kl_batch_scores"] = state.trial_moves(
+            swap_candidates(state.partition, gates_a, gates_b), PENALTY
+        )
 
     def run():
         _RECORDED["kl_scoring_batch"] = _best_of(step)
@@ -572,4 +587,79 @@ def test_kl_scoring_batched(benchmark, evaluator, start):
     )
     assert speedup >= KL_SCORING_FLOOR, (
         f"KL pool scoring speedup {speedup:.2f}x < {KL_SCORING_FLOOR}x"
+    )
+
+
+# ------------------------------------------------- ES brood scoring (§4.2)
+def _es_broods(evaluator, start):
+    """λ+χ children per parent for μ=4 parents, drawn the way the ES
+    draws them (λ=4 mutated, χ=2 Monte-Carlo, default step widths)."""
+    optimizer = EvolutionOptimizer(evaluator, EvolutionParams(), seed=17)
+    broods = []
+    for seed in range(4):
+        partition = chain_start_partition(
+            evaluator, len(start.module_ids), random.Random(100 + seed)
+        )
+        state = evaluator.new_state(partition)
+        parent = _Individual(state.penalized_cost(PENALTY), step=4.0, state=state)
+        drawn = [optimizer._mutated_child(parent) for _ in range(4)]
+        drawn += [optimizer._monte_carlo_child(parent) for _ in range(2)]
+        broods.append((state, [moves for _, moves in drawn]))
+    return broods
+
+
+def test_es_brood_scoring_sequential(benchmark, evaluator, start):
+    broods = _es_broods(evaluator, start)
+
+    def step(_):
+        # The per-child trial loop: each child's moves applied in a
+        # trial (same-target runs through the bulk ``move_gates``, as
+        # the ES applied Monte-Carlo blocks), scored, rolled back.
+        scores = []
+        for state, candidates in broods:
+            for moves in candidates:
+                state.begin_trial()
+                i = 0
+                while i < len(moves):
+                    j = i + 1
+                    while j < len(moves) and moves[j][1] == moves[i][1]:
+                        j += 1
+                    state.move_gates([gate for gate, _ in moves[i:j]], moves[i][1])
+                    i = j
+                scores.append(state.penalized_cost(PENALTY))
+                state.rollback()
+        _RECORDED["es_brood_seq_scores"] = scores
+
+    def run():
+        _RECORDED["es_brood_seq"] = _best_of(step)
+
+    benchmark.pedantic(run, rounds=1, iterations=1)
+    print(f"\nES brood scoring sequential: {_RECORDED['es_brood_seq'] * 1e3:.1f} ms")
+
+
+def test_es_brood_scoring_batched(benchmark, evaluator, start):
+    """One ``trial_moves`` call per parent over its whole brood — the
+    ES generation's scoring path."""
+    broods = _es_broods(evaluator, start)
+
+    def step(_):
+        scores = []
+        for state, candidates in broods:
+            scores.extend(state.trial_moves(candidates, PENALTY).tolist())
+        _RECORDED["es_brood_batch_scores"] = scores
+
+    def run():
+        _RECORDED["es_brood_batch"] = _best_of(step)
+
+    benchmark.pedantic(run, rounds=1, iterations=1)
+    assert _RECORDED["es_brood_batch_scores"] == _RECORDED["es_brood_seq_scores"], (
+        "batched brood scores diverge from per-child trial_cost"
+    )
+    speedup = _RECORDED["es_brood_seq"] / _RECORDED["es_brood_batch"]
+    print(
+        f"\nES brood scoring batched: {_RECORDED['es_brood_batch'] * 1e3:.1f} ms "
+        f"({speedup:.2f}x, floor {ES_BROOD_SCORING_FLOOR}x)"
+    )
+    assert speedup >= ES_BROOD_SCORING_FLOOR, (
+        f"ES brood scoring speedup {speedup:.2f}x < {ES_BROOD_SCORING_FLOOR}x"
     )

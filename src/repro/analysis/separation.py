@@ -44,11 +44,6 @@ class SeparationMatrix:
     kernel (:meth:`SimBackend.gather_or_segments`).
     """
 
-    #: Lazily built float64 copy of :attr:`matrix` feeding the BLAS
-    #: matmul in :meth:`sums_by_group` (class-level default covers both
-    #: constructors, including :meth:`from_matrix`).
-    _matrix_f64: np.ndarray | None = None
-
     def __init__(self, circuit: Circuit, cap: int):
         if cap < 1:
             raise ValueError(f"separation cap must be >= 1, got {cap}")
@@ -136,47 +131,6 @@ class SeparationMatrix:
             return 0.0
         sub = self.matrix[np.ix_(group, group)].astype(np.int64)
         return float(sub.sum() / 2)
-
-    def sums_by_group(
-        self, gates: np.ndarray, group_of_gate: np.ndarray, num_groups: int
-    ) -> np.ndarray:
-        """``Σ distance(g, h)`` for every ``g`` in ``gates`` and every group.
-
-        ``group_of_gate`` assigns each dense gate index a group id in
-        ``[0, num_groups)`` (negative = excluded).  Returns an int64
-        ``(len(gates), num_groups)`` matrix — the batched form of
-        :meth:`sum_to_group`, exact in any order (integer distances).
-        One BLAS matmul against a group-indicator matrix scores every
-        (gate, group) pair of a whole candidate set at once: distances
-        are integers ≤ 255 and row sums stay far below 2**53, so the
-        float64 dot product is exact regardless of summation order.
-        """
-        gates = np.asarray(gates, dtype=np.int64)
-        out = np.zeros((len(gates), num_groups), dtype=np.int64)
-        if gates.size == 0:
-            return out
-        group_of_gate = np.asarray(group_of_gate, dtype=np.int64)
-        valid = np.nonzero(group_of_gate >= 0)[0]
-        if valid.size == 0:
-            return out
-        indicator = np.zeros((self.matrix.shape[0], num_groups), dtype=np.float64)
-        indicator[valid, group_of_gate[valid]] = 1.0
-        if self._matrix_f64 is None:
-            # Lazy 8x-size float64 copy: only optimisers hammering the
-            # batched gain kernel pay for it, one-shot evaluations don't.
-            self._matrix_f64 = self.matrix.astype(np.float64)
-        # Both branches compute exact-integer float sums (lossless int64
-        # assignment), so they are bit-identical; the split is purely a
-        # FLOP count choice.  Small candidate sets (annealing blocks, KL
-        # swap pools) gather their unique rows and run a (U, n) x (n, K)
-        # matmul; large ones amortise one dgemm over the whole matrix,
-        # which beats per-row gathering once U approaches n.
-        unique, inverse = np.unique(gates, return_inverse=True)
-        if unique.size * 16 < self.matrix.shape[0]:
-            out[:] = (self._matrix_f64[unique] @ indicator)[inverse]
-        else:
-            out[:] = (self._matrix_f64 @ indicator)[gates]
-        return out
 
 
 def reference_separation_matrix(circuit: Circuit, cap: int) -> np.ndarray:

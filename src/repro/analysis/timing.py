@@ -203,9 +203,8 @@ class IncrementalTiming:
         An entry equal to the base delay is a no-op for its row, so
         heterogeneous candidates (different module pairs) can share one
         union column set and still score bit-identically to separate
-        per-group calls; the batched optimizer kernels
-        (``trial_moves``/``trial_swaps``) merge scattered candidate pools
-        into one stacked sweep this way.  When no row changes any
+        per-group calls; the optimizers' gain kernel (``trial_moves``)
+        stacks whole candidate batches into one sweep this way.  When no row changes any
         delay, every candidate scores the base critical path without a
         sweep.
         """

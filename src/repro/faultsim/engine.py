@@ -56,6 +56,51 @@ __all__ = ["CoverageEngine"]
 _ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
+class _PatchedBits:
+    """A cached slot's unpacked ``(nodes, patterns)`` bits as a row
+    overlay: ``rows`` (sorted) read from ``data``, every other row from
+    the dense ``base`` matrix of the slot it was patched from, which is
+    shared and never written.  Row gathers (``bits[index_array]``) and
+    ``shape`` are all the leakage kernels use."""
+
+    __slots__ = ("base", "rows", "data")
+
+    def __init__(self, base: np.ndarray, rows: np.ndarray, data: np.ndarray):
+        self.base = base
+        self.rows = rows
+        self.data = data
+
+    @classmethod
+    def patch(cls, source, rows: np.ndarray, data: np.ndarray):
+        """``source`` bits with ``rows`` (sorted, unique) replaced.  An
+        overlay wider than an eighth of the nodes is flattened into a
+        fresh dense matrix, so lookups stay cheap along a long walk."""
+        if isinstance(source, _PatchedBits):
+            keep = ~np.isin(source.rows, rows, assume_unique=True)
+            merged = np.concatenate([source.rows[keep], rows])
+            order = np.argsort(merged, kind="stable")
+            rows = merged[order]
+            data = np.concatenate([source.data[keep], data])[order]
+            source = source.base
+        if rows.size * 8 <= source.shape[0]:
+            return cls(source, rows, data)
+        dense = source.copy()
+        dense[rows] = data
+        return dense
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.base.shape
+
+    def __getitem__(self, index: np.ndarray) -> np.ndarray:
+        out = self.base[index]
+        pos = np.searchsorted(self.rows, index)
+        hit = pos < self.rows.size
+        hit[hit] = self.rows[pos[hit]] == index[hit]
+        out[hit] = self.data[pos[hit]]
+        return out
+
+
 class CoverageEngine:
     """Cached, vectorised IDDQ detection/coverage for one circuit.
 
@@ -235,8 +280,11 @@ class CoverageEngine:
 
         Returns ``None`` (caller re-simulates from scratch) when no
         same-shaped slot is within the column limit.  The source slot
-        stays cached, so its ``bits`` matrix is copied before patching;
-        ``NodeValues`` handed out earlier stay untouched because
+        stays cached and is never written: the patched slot keeps only
+        its changed rows over the source's matrix
+        (:class:`_PatchedBits`), so a step never copies the whole
+        matrix.  ``NodeValues`` handed out earlier stay untouched
+        because
         :meth:`~repro.faultsim.logic_sim.LogicSimulator.simulate_delta`
         never mutates its baseline.  The lazy leakage matrix is not
         carried over — leakage is state-dependent, so a patched state
@@ -263,12 +311,12 @@ class CoverageEngine:
         values, changed_rows = self.sim.simulator.simulate_delta(
             source[1], patterns, return_changed=True, changed_cols=changed_cols
         )
-        bits = source[2].copy()
-        if changed_rows.size:
-            sub = np.ascontiguousarray(values.packed[changed_rows])
-            bits[changed_rows] = np.unpackbits(
-                sub.view(np.uint8), axis=1, bitorder="little"
-            )[:, : values.num_patterns].astype(np.int32)
+        changed_rows = np.unique(changed_rows)
+        sub = np.ascontiguousarray(values.packed[changed_rows])
+        fresh = np.unpackbits(sub.view(np.uint8), axis=1, bitorder="little")[
+            :, : values.num_patterns
+        ].astype(np.int32)
+        bits = _PatchedBits.patch(source[2], changed_rows, fresh)
         if source_key == self._active_key:
             if changed_rows.size:
                 changed_mask = np.zeros(bits.shape[0], dtype=bool)

@@ -247,9 +247,7 @@ def _walk_batched(walk: _Walk, proposals, temperature: float) -> None:
         if len(pending) < 8:
             _walk_sequential(walk, proposals[start:], temperature)
             return
-        fresh = state.trial_moves(
-            [p[1] for p in pending], [p[2] for p in pending], walk.penalty
-        )
+        fresh = state.trial_moves([[(p[1], p[2])] for p in pending], walk.penalty)
         walk.evaluations += len(pending)
         obs.METRICS.inc(counter, len(pending))
         counter = "optimizer.batch.rescore"

@@ -16,30 +16,24 @@ selection:
 * selection keeps the best μ of {parents younger than the maximum
   lifetime κ} ∪ {descendants}.
 
-Costs are maintained incrementally and *transactionally*: a child is
-scored by applying its mutation moves to the parent's live
-:class:`~repro.partition.state.EvaluationState` inside a trial — only
-the touched modules are re-evaluated (§4.2: "costs are recomputed just
-for the modified modules ... the partitions generated this way can be
-evaluated very efficiently") — and rolling back exactly.  Children
-whose mutation collapsed to a *single* move (the common case at small
-step widths) defer scoring: once all of a parent's children are drawn,
-they ride one
-:meth:`~repro.partition.state.EvaluationState.trial_moves` batch
-against the parent's state.  Proposal drawing consumes the RNG and
-scoring doesn't, so deferral leaves the draw sequence — and, because
-the batched kernel is bit-identical to ``trial_cost``, every child
-cost and selection outcome — exactly as the per-child trials produced.
-No state is cloned per candidate; only the μ selection survivors
-materialise a state (cheap dense-array copy plus a replay of the
-recorded moves).
-The boundary-gate and connected-target queries the mutation operator
-leans on are batched CSR scans over the compiled graph (see DESIGN.md),
-so mutation cost stays proportional to module size, not circuit size.
-Inside each child's trial the exact D_BIC refresh runs through the
-incremental timing engine (DESIGN §8.4): one full sweep diffed into
-the trial's undo journal, the degraded critical path read off as the
-arrival maximum.
+Children are *proposals*, not states: each is an ordered list of
+``(gate, target)`` moves drawn against the parent's unmutated
+:class:`~repro.partition.partition.Partition` (a mutated child's later
+neighbour queries see its own earlier moves through a small
+gate→target overlay), and all λ+χ children of one parent are scored in
+one :meth:`~repro.partition.state.EvaluationState.trial_moves` call
+against the parent's live state.  The kernel recomputes costs "just
+for the modified modules" (§4.2) in closed form, scores bit-identical
+to applying each list in a trial and rolling back, and its ``D_BIC``
+is one stacked re-timing sweep (DESIGN §8.3-8.4).  Because the parent
+never mutates, its version-keyed boundary and membership caches serve
+every sibling, and scoring consumes no random numbers, so the draw
+sequence is the one per-child trials produced.  Only the μ selection
+survivors materialise a state: a dense-array copy of the parent plus
+a replay of the recorded moves.  The boundary-gate and
+connected-target queries are batched CSR scans over the compiled graph
+(see DESIGN.md), so mutation cost stays proportional to module size,
+not circuit size.
 """
 
 from __future__ import annotations
@@ -61,10 +55,10 @@ __all__ = ["EvolutionOptimizer", "evolve_partition"]
 @dataclass
 class _Individual:
     """One population member: ES bookkeeping plus either a live
-    evaluation state (parents) or a recorded mutation relative to the
+    evaluation state (parents) or a recorded move list relative to the
     parent's state (unselected children never materialise one)."""
 
-    cost: float | None  # None = single-move child awaiting batch scoring
+    cost: float
     step: float
     age: int = 0
     state: object | None = None
@@ -73,8 +67,8 @@ class _Individual:
 
     def materialize(self):
         """The individual's live state, building it on first need by
-        copying the parent and replaying the recorded moves (identical
-        arithmetic to the scoring trial, so identical statistics)."""
+        copying the parent and replaying the recorded moves (bit-identical
+        statistics to the scored move list)."""
         if self.state is None:
             state = self.parent_state.copy()
             i = 0
@@ -138,27 +132,7 @@ class EvolutionOptimizer:
         for generation in range(1, params.generations + 1):
             children: list[_Individual] = []
             for parent in parents:
-                deferred: list[_Individual] = []
-                for _ in range(params.children_per_parent):
-                    children.append(self._mutated_child(parent))
-                    if children[-1].cost is None:
-                        deferred.append(children[-1])
-                for _ in range(params.monte_carlo_per_parent):
-                    children.append(self._monte_carlo_child(parent))
-                    if children[-1].cost is None:
-                        deferred.append(children[-1])
-                if deferred:
-                    # All single-move children of this parent share one
-                    # batched gain-kernel call (scores bit-identical to
-                    # their individual trials).
-                    costs = parent.state.trial_moves(
-                        [child.moves[0][0] for child in deferred],
-                        [child.moves[0][1] for child in deferred],
-                        params.penalty,
-                    )
-                    obs.METRICS.inc("optimizer.batch.size", len(deferred))
-                    for child, cost in zip(deferred, costs):
-                        child.cost = float(cost)
+                children.extend(self._brood(parent))
             evaluations += len(children)
 
             for parent in parents:
@@ -211,53 +185,62 @@ class EvolutionOptimizer:
         the step before")."""
         return max(1.0, self.rng.gauss(parent_step, self.params.step_std))
 
-    def _mutated_child(self, parent: _Individual) -> _Individual:
+    def _brood(self, parent: _Individual) -> list[_Individual]:
+        """Draw the parent's λ mutated and χ Monte-Carlo children, then
+        score all of them in one gain-kernel call."""
+        params = self.params
+        drawn = [self._mutated_child(parent) for _ in range(params.children_per_parent)]
+        drawn += [
+            self._monte_carlo_child(parent)
+            for _ in range(params.monte_carlo_per_parent)
+        ]
+        costs = parent.state.trial_moves([moves for _, moves in drawn], params.penalty)
+        obs.METRICS.inc("optimizer.batch.size", len(drawn))
+        return [
+            _Individual(cost, step=step, parent_state=parent.state, moves=moves)
+            for (step, moves), cost in zip(drawn, costs.tolist())
+        ]
+
+    def _mutated_child(self, parent: _Individual) -> tuple[float, list]:
+        """Step width and moves: up to ``step`` boundary gates of one
+        random module, each into a module it is connected with."""
         rng = self.rng
-        state = parent.state
-        partition = state.partition
+        partition = parent.state.partition
         step = self._child_step(parent.step)
         moves: list[tuple[int, int]] = []
-        state.begin_trial()
         if partition.num_modules >= 2:
             module = rng.choice(partition.module_ids)
             boundary = partition.boundary_gates(module)
             if boundary:
                 limit = min(int(step), len(boundary))
                 count = rng.randint(1, max(1, limit))
-                moved = rng.sample(boundary, count)
-                for gate in moved:
-                    if partition.module_of(gate) != module:
-                        continue  # an earlier move dissolved the module
-                    targets = partition.neighbor_modules(gate)
+                # Sampled gates are distinct, so each is still in
+                # ``module`` when its turn comes; the overlay shows its
+                # neighbours where this child's earlier moves put them.
+                overlay: dict[int, int] = {}
+                for gate in rng.sample(boundary, count):
+                    targets = partition.neighbor_modules(gate, overlay)
                     if targets:
                         target = rng.choice(targets)
-                        state.move_gate(gate, target)
+                        overlay[gate] = target
                         moves.append((gate, target))
-        # Single-move children defer to the parent's batched scoring
-        # call in ``run`` (their trial state is just parent + one move).
-        cost = None if len(moves) == 1 else state.penalized_cost(self.params.penalty)
-        state.rollback()
-        return _Individual(cost, step=step, parent_state=state, moves=moves)
+        return step, moves
 
-    def _monte_carlo_child(self, parent: _Individual) -> _Individual:
+    def _monte_carlo_child(self, parent: _Individual) -> tuple[float, list]:
+        """Step width and moves: a random block of one random module into
+        another random (not necessarily connected) module."""
         rng = self.rng
-        state = parent.state
-        partition = state.partition
+        partition = parent.state.partition
         step = self._child_step(parent.step)
         moves: list[tuple[int, int]] = []
-        state.begin_trial()
         if partition.num_modules >= 2:
             source = rng.choice(partition.module_ids)
             targets = [m for m in partition.module_ids if m != source]
             target = rng.choice(targets)
             gates = partition.gates_array(source).tolist()  # ascending
             count = rng.randint(1, len(gates))
-            block = rng.sample(gates, count)
-            state.move_gates(block, target)
-            moves.extend((gate, target) for gate in block)
-        cost = None if len(moves) == 1 else state.penalized_cost(self.params.penalty)
-        state.rollback()
-        return _Individual(cost, step=step, parent_state=state, moves=moves)
+            moves = [(gate, target) for gate in rng.sample(gates, count)]
+        return step, moves
 
 
 def evolve_partition(

@@ -53,9 +53,7 @@ def greedy_refine(
                 for target in partition.neighbor_modules(gate):
                     candidates.append((gate, target))
         if candidates:
-            costs = state.trial_moves(
-                [c[0] for c in candidates], [c[1] for c in candidates], penalty
-            )
+            costs = state.trial_moves([[move] for move in candidates], penalty)
             evaluations += len(candidates)
             for move, trial_cost in zip(candidates, costs):
                 if trial_cost < best_cost - 1e-12:

@@ -20,9 +20,10 @@ Two candidate-scoring modes (``candidate_mode``):
     Sample whole swap pools up front (``candidate_rounds`` rounds of
     ``candidate_swaps`` pairs per pass) and score each pool as one
     candidate batch through the
-    :meth:`~repro.partition.state.EvaluationState.trial_swaps` kernel
-    (every pair of a (module_a, module_b) pair rides one
-    ``retime_batch`` stacked sweep), then walk the ranked gains
+    :meth:`~repro.partition.state.EvaluationState.trial_moves` kernel
+    (a swap is the two-move candidate ``[(a, module(b)), (b,
+    module(a))]``; the pool rides one ``retime_batch`` stacked sweep),
+    then walk the ranked gains
     best-first, replay-validating each chosen swap through
     ``trial_cost`` before committing it — earlier commits invalidate
     the batch's baseline, so a stale gain can never be committed
@@ -48,12 +49,12 @@ import random
 import numpy as np
 
 from repro import obs
-from repro.errors import OptimizationError
+from repro.errors import OptimizationError, PartitionError
 from repro.optimize.result import GenerationRecord, OptimizationResult
 from repro.partition.evaluator import PartitionEvaluator
 from repro.partition.partition import Partition
 
-__all__ = ["kl_refine"]
+__all__ = ["kl_refine", "swap_candidates"]
 
 
 def kl_refine(
@@ -71,7 +72,7 @@ def kl_refine(
     Per pass: sample ``candidate_swaps`` boundary-gate pairs from
     adjacent module pairs and commit the improving ones with gate
     locking — scored either through up to ``candidate_rounds`` batched
-    ``trial_swaps`` kernel calls walked best-first with replay
+    ``trial_moves`` kernel calls walked best-first with replay
     validation (``candidate_mode="batched"``), or one at a time through
     the transactional trial protocol (``"sequential"``).  Passes repeat
     until no pass improves or ``max_passes`` is hit.
@@ -158,7 +159,7 @@ def _batched_pass(state, rng, cost, candidate_swaps, penalty, rounds):
 
     Each round samples a fresh pool of up to ``candidate_swaps``
     unlocked pairs against the live partition, scores it in one
-    ``trial_swaps`` call, and walks the ranked gains best-first.  Every
+    ``trial_moves`` call, and walks the ranked gains best-first.  Every
     candidate that beats the current cost is replayed through
     ``trial_cost`` against the *live* state before committing: the
     first commit of a round replays to exactly its batched score (the
@@ -184,9 +185,12 @@ def _batched_pass(state, rng, cost, candidate_swaps, penalty, rounds):
             pool.append(swap)
         if not pool:
             break
-        gates_a = [swap[0] for swap in pool]
-        gates_b = [swap[1] for swap in pool]
-        scores = state.trial_swaps(gates_a, gates_b, penalty)
+        scores = state.trial_moves(
+            swap_candidates(
+                state.partition, [swap[0] for swap in pool], [swap[1] for swap in pool]
+            ),
+            penalty,
+        )
         obs.METRICS.inc("optimizer.batch.size", len(pool))
         evaluations += len(pool)
         committed = False
@@ -214,6 +218,22 @@ def _batched_pass(state, rng, cost, candidate_swaps, penalty, rounds):
         if not committed:
             break
     return cost, evaluations, improved
+
+
+def swap_candidates(
+    partition: Partition, gates_a, gates_b
+) -> list[list[tuple[int, int]]]:
+    """The two-move kernel candidates exchanging each ``a`` with its
+    ``b``: ``a`` moves into ``b``'s module, then ``b`` into ``a``'s."""
+    if len(gates_a) != len(gates_b):
+        raise PartitionError("a swap pool needs equally many a- and b-gates")
+    out = []
+    for a, b in zip(gates_a, gates_b):
+        module_a, module_b = partition.module_of(a), partition.module_of(b)
+        if module_a == module_b:
+            raise PartitionError("swap candidate within a single module")
+        out.append([(int(a), module_b), (int(b), module_a)])
+    return out
 
 
 class _SwapSampler:

@@ -23,6 +23,8 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
+
 from repro.errors import OptimizationError
 from repro.partition.evaluator import PartitionEvaluator
 from repro.partition.partition import Partition
@@ -67,8 +69,12 @@ def chain_start_partition(
         )
     levels = circuit.levels
     names = circuit.gate_names
-    level_of = [levels[name] for name in names]
-    neighbours = circuit.gate_neighbors
+    # Seed fallback order: free gates by (level, gate id) — the order
+    # sorting the free set by level gives (small-int sets iterate
+    # ascending and the sort is stable).
+    by_level = np.lexsort((np.arange(n), [levels[name] for name in names]))
+    cg = circuit.compiled
+    adj_indptr, adj_indices = cg.gate_adj_indptr, cg.gate_adj_indices
     # Fanout successors in dense index space (chains move toward outputs).
     index = circuit.gate_index
     successors: list[list[int]] = [[] for _ in range(n)]
@@ -80,17 +86,35 @@ def chain_start_partition(
                 successors[g].append(sink_idx)
 
     free: set[int] = set(range(n))
+    free_mask = np.ones(n, dtype=bool)
     sizes = _balanced_sizes(n, num_modules)
     assignment: dict[int, int] = {}
 
     for module, target_size in enumerate(sizes):
         module_gates: list[int] = []
+        # Neighbour entries of the module's gates, in join order with
+        # duplicates: an append-only list, compacted through the free
+        # mask at each seed pick (free gates never come back).
+        adjacent = np.empty(0, dtype=np.int64)
+        joined: list[np.ndarray] = []
         while len(module_gates) < target_size and free:
-            seed = _pick_seed(free, module_gates, neighbours, level_of, rng)
+            adjacent = np.concatenate([adjacent, *joined])
+            adjacent = adjacent[free_mask[adjacent]]
+            joined = []
+            if adjacent.size:
+                # Prefer free gates adjacent to the module under
+                # construction (keeps modules connected).
+                seed = int(rng.choice(adjacent))
+            else:
+                # Else a random free gate among the lowest levels.
+                lowest = by_level[free_mask[by_level]]
+                seed = int(rng.choice(lowest[: max(1, len(free) // 20)]))
             chain = seed
             while chain is not None and len(module_gates) < target_size:
                 module_gates.append(chain)
                 free.discard(chain)
+                free_mask[chain] = False
+                joined.append(adj_indices[adj_indptr[chain] : adj_indptr[chain + 1]])
                 assignment[chain] = module
                 free_successors = [s for s in successors[chain] if s in free]
                 chain = rng.choice(free_successors) if free_successors else None
@@ -99,6 +123,7 @@ def chain_start_partition(
             # module one arbitrary free gate (sizes guarantee >= 1 each,
             # so this only triggers on adversarial inputs).
             leftover = free.pop()
+            free_mask[leftover] = False
             assignment[leftover] = module
     # Any stragglers (only possible through rounding) join the last module.
     for gate in list(free):
@@ -111,31 +136,6 @@ def _balanced_sizes(n: int, k: int) -> list[int]:
     base = n // k
     extra = n % k
     return [base + 1 if i < extra else base for i in range(k)]
-
-
-def _pick_seed(
-    free: set[int],
-    module_gates: list[int],
-    neighbours,
-    level_of: list[int],
-    rng: random.Random,
-) -> int:
-    """Seed a new chain: prefer free gates adjacent to the module under
-    construction (keeps modules connected), else a free gate of minimal
-    level, randomly among the few lowest."""
-    if module_gates:
-        adjacent = [
-            nbr
-            for gate in module_gates
-            for nbr in neighbours[gate]
-            if nbr in free
-        ]
-        if adjacent:
-            return rng.choice(adjacent)
-    # No adjacency available: take a random gate among the lowest levels.
-    candidates = sorted(free, key=lambda g: level_of[g])
-    cutoff = max(1, len(candidates) // 20)
-    return rng.choice(candidates[:cutoff])
 
 
 def start_population(

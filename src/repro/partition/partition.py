@@ -213,17 +213,31 @@ class Partition:
             raise PartitionError(f"no module {module}")
         return self._boundary.get((module, other))
 
-    def neighbor_modules(self, gate: int) -> tuple[int, ...]:
+    def neighbor_modules(
+        self, gate: int, overlay: Mapping[int, int] | None = None
+    ) -> tuple[int, ...]:
         """Distinct modules (other than the gate's own) adjacent to
         ``gate``, ascending.  Adjacency rows are a handful of entries, so
         a Python set beats ``np.unique`` by an order of magnitude here —
-        this runs once per candidate in every optimiser's inner loop."""
+        this runs once per candidate in every optimiser's inner loop.
+
+        ``overlay`` maps gates to the modules a not-yet-applied move list
+        puts them in, so a proposal can be drawn as if its earlier moves
+        had happened, without mutating the partition."""
         cg = self.circuit.compiled
         row = cg.gate_adj_indices[
             cg.gate_adj_indptr[gate] : cg.gate_adj_indptr[gate + 1]
         ]
-        modules = set(self._module_of[row].tolist())
-        modules.discard(int(self._module_of[gate]))
+        own = int(self._module_of[gate])
+        if overlay:
+            modules = {
+                overlay.get(nbr, module)
+                for nbr, module in zip(row.tolist(), self._module_of[row].tolist())
+            }
+            own = overlay.get(gate, own)
+        else:
+            modules = set(self._module_of[row].tolist())
+        modules.discard(own)
         return tuple(sorted(modules))
 
     def gates_adjacent_to(self, module: int, other: int) -> list[int]:

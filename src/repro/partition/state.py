@@ -22,17 +22,25 @@ Two implementations of that idea live here, behind one protocol:
 Both support the **transactional move protocol**: ``begin_trial()``
 opens a journal, moves apply *in place*, and ``rollback()`` restores
 every byte of state exactly (saved prior values, not reverse
-arithmetic) while ``commit()`` keeps the moves.  Optimisers therefore
-never clone a state to score a candidate.  The dense path additionally
-offers :meth:`EvaluationState.trial_moves` — a batched gain kernel that
-scores a whole candidate set ``(gates, targets)`` in one vectorised
-pass (batched separation sums, scatter-added profile deltas, vectorised
-sensor sizing and constraint checking, and one stacked re-timing sweep
-for the delay term).
+arithmetic) while ``commit()`` keeps the moves.  Optimisers that walk
+(annealing, KL, greedy) commit through it.
+
+Scoring goes through one gain kernel for *move lists*:
+:meth:`EvaluationState.trial_moves` takes candidates, each an ordered
+list of ``(gate, target)`` moves — a single move, a KL swap (the
+two-move list ``[(a, module(b)), (b, module(a))]``), a mutated ES
+child, a whole Monte-Carlo block — and scores them all against the
+unmutated state in closed form: ordered scatters for the leakage, rail
+and profile statistics, exact integer separation deltas, ``(C, S)``
+sensor and ``Γ`` matrices, and stacked re-timing sweeps for the delay
+term.  Every score is bit-identical to ``trial_cost(candidate)``
+followed by ``rollback()``, which is what the protocol's generic
+fallback computes.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
@@ -56,22 +64,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
 __all__ = ["ModuleStats", "EvaluationState", "ReferenceEvaluationState"]
 
 
-def _profile_max_rows(times, gate_ids, act_rows):
-    """Per (candidate row, gate): the max of that candidate's activity
-    profile over the gate's own transition times — the batched form of
-    :meth:`TransitionTimes.max_in_profile` (segments are non-empty)."""
-    slots, counts = csr_gather(times.times_indptr, times.times_flat, gate_ids)
-    starts = np.cumsum(counts) - counts
-    return np.maximum.reduceat(act_rows[:, slots], starts, axis=1)
-
-
-def _profile_max_diag(times, gates, act_rows):
-    """Row ``i``'s activity-profile max over gate ``gates[i]``'s own
-    transition times — one value per candidate row."""
-    slots, counts = csr_gather(times.times_indptr, times.times_flat, gates)
-    row_rep = np.repeat(np.arange(len(gates), dtype=np.int64), counts)
-    starts = np.cumsum(counts) - counts
-    return np.maximum.reduceat(act_rows[row_rep, slots], starts)
+def _ragged_arange(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``concatenate([arange(s, s + n) for s, n in zip(starts, lengths)])``."""
+    offsets = np.cumsum(lengths) - lengths
+    return np.repeat(starts - offsets, lengths) + np.arange(int(np.sum(lengths)))
 
 
 class ModuleStats:
@@ -150,33 +146,14 @@ class _StateProtocol:
             raise
 
     def trial_moves(
-        self, gates: Sequence[int], targets: Sequence[int], penalty: float
+        self, candidates: Sequence[Sequence[tuple[int, int]]], penalty: float
     ) -> np.ndarray:
-        """Penalised cost of each single-gate candidate move, evaluated
+        """Penalised cost of each candidate move list, evaluated
         independently from the current state (generic trial/rollback
         loop; the dense state overrides this with the batched kernel)."""
-        costs = np.empty(len(gates), dtype=np.float64)
-        for i, (gate, target) in enumerate(zip(gates, targets)):
-            costs[i] = self.trial_cost([(int(gate), int(target))], penalty)
-            self.rollback()
-        return costs
-
-    def trial_swaps(
-        self, gates_a: Sequence[int], gates_b: Sequence[int], penalty: float
-    ) -> np.ndarray:
-        """Penalised cost of each two-gate *swap* candidate — gate ``a``
-        moves into ``b``'s module and ``b`` into ``a``'s — evaluated
-        independently from the current state (generic trial/rollback
-        loop; the dense state overrides this with the batched kernel).
-        ``a``'s module must hold at least two gates, or the first move
-        of the exchange would delete it."""
-        costs = np.empty(len(gates_a), dtype=np.float64)
-        for i, (a, b) in enumerate(zip(gates_a, gates_b)):
-            a, b = int(a), int(b)
-            partition = self.partition  # rollback may swap the object
-            module_a = partition.module_of(a)
-            module_b = partition.module_of(b)
-            costs[i] = self.trial_cost([(a, module_b), (b, module_a)], penalty)
+        costs = np.empty(len(candidates), dtype=np.float64)
+        for i, moves in enumerate(candidates):
+            costs[i] = self.trial_cost(moves, penalty)
             self.rollback()
         return costs
 
@@ -1045,30 +1022,42 @@ class EvaluationState(_StateProtocol):
 
     # ----------------------------------------------------------- gain kernel
     def trial_moves(
-        self, gates: Sequence[int], targets: Sequence[int], penalty: float
+        self, candidates: Sequence[Sequence[tuple[int, int]]], penalty: float
     ) -> np.ndarray:
-        """Batched gain kernel: the penalised cost of every candidate
-        single-gate move, each evaluated independently from the current
-        state, in one vectorised pass.
+        """Batched gain kernel: the penalised cost of every candidate, an
+        ordered list of ``(gate, target)`` moves evaluated independently
+        from the current state.  Each score is bit-identical to
+        ``trial_cost(candidate)`` followed by :meth:`rollback`, and the
+        state is never mutated.
 
-        Stage 1 scores every non-delay term for all candidates at once:
-        batched separation sums (:meth:`SeparationMatrix.sums_by_group`),
-        scatter-added profile deltas, vectorised sensor sizing and the
-        array-form constraint check.  Stage 2 scores the ``c2``/``c4``
-        delay term batched per (source, target) module pair: all
-        candidates of a pair share the same two-module invalidation
-        frontier, so their degraded-delay overrides are built as one
-        ``(C, gates)`` matrix (the degradation delta is elementwise, so
-        the moved gate's row entry is simply overwritten with its
-        target-side value) and re-timed in one stacked sweep
-        (:meth:`IncrementalTiming.retime_batch`).  The state is never
-        mutated.
+        Every move splits into a source and a target *event*, and events
+        group per (candidate, module).  Each statistic has a closed form
+        per group:
+
+        * leakage, rail capacitance and the current/activity profiles
+          are ordered ``np.add.at`` scatters over the events in move
+          order, so every element sees the same ± sequence that
+          :meth:`move_gate` and :meth:`_bulk_move` apply;
+        * separation sums are integers, exact in any order: a group's
+          delta is ``Σ u_j·S(g_j) + uᵀDu / 2``, with ``u_j = ±1`` the
+          direction of move ``j`` for that module, ``S`` the sums
+          against the current memberships and ``D`` the moved gates'
+          own distances;
+        * sensor sizing and ``Γ`` run over ``(C, S)`` candidate matrices
+          at the state's own slot width (zero-padding would regroup
+          numpy's pairwise sums);
+        * ``D_BIC``: each row carries the degraded delays of its touched
+          modules' union columns (final memberships, final sensors), and
+          up to 192 rows share one
+          :meth:`IncrementalTiming.retime_batch` sweep.
+
+        Like the sequential trial, a move into the gate's own module, a
+        missing module or one the candidate has already emptied raises
+        :class:`PartitionError`.
         """
-        gates = np.asarray(gates, dtype=np.int64)
-        count = len(gates)
-        costs = np.empty(count, dtype=np.float64)
+        count = len(candidates)
         if count == 0:
-            return costs
+            return np.empty(0, dtype=np.float64)
         obs.METRICS.inc("optimize.trial_moves.calls")
         obs.METRICS.inc("optimize.trial_moves.candidates", count)
         if self._journal is not None:
@@ -1078,457 +1067,214 @@ class EvaluationState(_StateProtocol):
         partition = self.partition
         electricals = ctx.electricals
         num_slots = len(self._slot_module)
-        targets = np.asarray(targets, dtype=np.int64)
+        module_of = partition._module_of
+
+        lengths = np.fromiter(map(len, candidates), dtype=np.int64, count=count)
+        total = int(lengths.sum())
+        moves = np.fromiter(
+            chain.from_iterable(chain.from_iterable(candidates)),
+            dtype=np.int64,
+            count=2 * total,
+        ).reshape(total, 2)
+        gates = moves[:, 0]
+        targets = moves[:, 1]
+        cand = np.repeat(np.arange(count), lengths)
+        sources = module_of[gates].astype(np.int64)
+        # Each (candidate, gate)'s last move decides where the gate ends.
+        # A gate moved twice leaves from where its earlier move put it.
+        keys = cand * len(module_of) + gates
+        final_moves = np.arange(total)
+        if (np.diff(np.sort(keys)) == 0).any():
+            _, last = np.unique(keys[::-1], return_index=True)
+            final_moves = np.sort(total - 1 - last)
+            where: dict[tuple[int, int], int] = {}
+            for j, key in enumerate(zip(cand.tolist(), gates.tolist())):
+                sources[j] = where.get(key, sources[j])
+                where[key] = int(targets[j])
 
         slot_map = np.full(partition._next_id, -1, dtype=np.int64)
         for module, slot in self._slot_of.items():
             slot_map[module] = slot
-        src_modules = partition._module_of[gates].astype(np.int64)
-        if (src_modules == targets).any():
-            raise PartitionError("candidate move into the gate's own module")
-        src_slot = slot_map[src_modules]
-        tgt_slot = slot_map[targets]
+        known = (targets >= 0) & (targets < len(slot_map))
+        tgt_slot = np.where(known, slot_map[np.where(known, targets, 0)], -1)
         if (tgt_slot < 0).any():
             raise PartitionError("candidate move into a missing module")
-        sizes = np.bincount(
-            partition._module_of, minlength=int(partition._next_id)
-        )[src_modules]
-        dying = sizes == 1
-        rows = np.arange(count)
+        if (sources == targets).any():
+            raise PartitionError("candidate move into the gate's own module")
+        src_slot = slot_map[sources]
 
-        # --- stage 1: every non-delay statistic, fully vectorised.
-        leak_g = electricals.leakage_na[gates]
-        rail_g = electricals.rail_cap_ff[gates]
-        peak_g = electricals.peak_current_ma[gates]
-        src_leak = self.leak_na[src_slot] - leak_g
-        tgt_leak = self.leak_na[tgt_slot] + leak_g
-        src_rail = self.rail_cap_ff[src_slot] - rail_g
-        tgt_rail = self.rail_cap_ff[tgt_slot] + rail_g
+        # Events in move order: move j's source event is 2j, its target
+        # event 2j + 1.  Groups are (candidate, slot), candidate-major.
+        step = np.ones(2 * total, dtype=np.int64)
+        step[0::2] = -1
+        event_gate = np.repeat(gates, 2)
+        event_key = (
+            np.repeat(cand, 2) * num_slots
+            + np.stack([src_slot, tgt_slot], axis=1).ravel()
+        )
+        touched = np.zeros(count * num_slots, dtype=bool)
+        touched[event_key] = True
+        group_key = np.flatnonzero(touched)
+        num_groups = group_key.size
+        event_group = (np.cumsum(touched) - 1)[event_key]
+        g_cand = group_key // num_slots
+        g_slot = group_key % num_slots
+        g_module = self._slot_module[g_slot]
+        # Running module sizes in move order: a target reached at size 0
+        # was emptied by an earlier move of the same candidate.
+        size0 = np.bincount(slot_map[module_of], minlength=num_slots)[g_slot]
+        order = np.argsort(event_group, kind="stable")
+        running = np.cumsum(step[order])
+        offset = np.concatenate(([0], running))[
+            np.searchsorted(event_group[order], np.arange(num_groups))
+        ]
+        size_after = size0[event_group[order]] + running - offset[event_group[order]]
+        if ((step[order] > 0) & (size_after == 1)).any():
+            raise PartitionError(
+                "candidate moves a gate into a module it has already emptied "
+                "(e.g. a swap out of a 1-gate module)"
+            )
+        dying = size0 + np.bincount(
+            event_group, weights=step, minlength=num_groups
+        ).astype(np.int64) == 0
 
-        gate_slot = slot_map[partition._module_of]
-        unique_gates, inverse = np.unique(gates, return_inverse=True)
-        sums = ctx.separation.sums_by_group(unique_gates, gate_slot, num_slots)
-        src_sep = self.sep_sum[src_slot] - sums[inverse, src_slot]
-        tgt_sep = self.sep_sum[tgt_slot] + sums[inverse, tgt_slot]
-
+        # --- ordered scatters: leakage, rail and both profiles.
+        leak = self.leak_na[g_slot]
+        rail = self.rail_cap_ff[g_slot]
+        np.add.at(leak, event_group, step * electricals.leakage_na[event_gate])
+        np.add.at(rail, event_group, step * electricals.rail_cap_ff[event_gate])
         times = ctx.times
-        slots_flat, slot_counts = csr_gather(
-            times.times_indptr, times.times_flat, gates
+        time_slots, time_counts = csr_gather(
+            times.times_indptr, times.times_flat, event_gate
         )
-        row_rep = np.repeat(rows, slot_counts)
-        peak_rep = np.repeat(peak_g, slot_counts)
-        src_cur = self.current[src_slot].copy()
-        tgt_cur = self.current[tgt_slot].copy()
-        src_act = self.activity[src_slot].copy()
-        tgt_act = self.activity[tgt_slot].copy()
-        src_cur[row_rep, slots_flat] -= peak_rep
-        tgt_cur[row_rep, slots_flat] += peak_rep
-        src_act[row_rep, slots_flat] -= 1.0
-        tgt_act[row_rep, slots_flat] += 1.0
-        src_max = src_cur.max(axis=1)
-        tgt_max = tgt_cur.max(axis=1)
-
-        src_rs, src_area, src_cs, src_tau, _ = size_sensors(
-            ctx.technology, src_max, src_rail
+        width = self.current.shape[1]
+        entry = np.repeat(event_group, time_counts) * width + time_slots
+        entry_step = np.repeat(step, time_counts)
+        current = self.current[g_slot]
+        activity = self.activity[g_slot]
+        np.add.at(
+            current.ravel(),
+            entry,
+            entry_step
+            * np.repeat(electricals.peak_current_ma[event_gate], time_counts),
         )
-        tgt_rs, tgt_area, tgt_cs, tgt_tau, _ = size_sensors(
-            ctx.technology, tgt_max, tgt_rail
+        np.add.at(activity.ravel(), entry, entry_step.astype(np.float64))
+        max_current = np.where(dying, 0.0, current.max(axis=1))
+        rs, area, cs, tau, _ = size_sensors(ctx.technology, max_current, rail)
+        settle = settle_times_ns(max_current, tau, ctx.technology)
+
+        # --- separation, first order: each event's distance sum to its
+        # module's current members (integers, so float32 BLAS sums are
+        # exact while they stay below 2**24).
+        matrix = ctx.separation.matrix
+        exact = np.float32 if 255 * matrix.shape[0] < 2**24 else np.float64
+        event_module = g_module[event_group]
+        first = np.empty(2 * total, dtype=np.float64)
+        for module in np.unique(event_module).tolist():
+            sel = np.flatnonzero(event_module == module)
+            members = self._members[module]
+            first[sel] = matrix[event_gate[sel]][:, members].astype(exact) @ np.ones(
+                members.size, dtype=exact
+            )
+        sep = self.sep_sum[g_slot] + np.bincount(
+            event_group, weights=step * first, minlength=num_groups
         )
-        src_settle = settle_times_ns(src_max, src_tau, ctx.technology)
-        tgt_settle = settle_times_ns(tgt_max, tgt_tau, ctx.technology)
+        # Second order, uᵀDu / 2 per multi-move candidate: u holds each
+        # move's direction (-1 leaving, +1 entering) in its two groups.
+        group_start = np.searchsorted(g_cand, np.arange(count + 1))
+        move_start = np.cumsum(lengths) - lengths
+        src, tgt = event_group[0::2], event_group[1::2]
+        for c in np.flatnonzero(lengths > 1).tolist():
+            lo, hi = move_start[c], move_start[c] + lengths[c]
+            glo, ghi = group_start[c], group_start[c + 1]
+            u = np.zeros((hi - lo, ghi - glo))
+            u[np.arange(hi - lo), src[lo:hi] - glo] = -1.0
+            u[np.arange(hi - lo), tgt[lo:hi] - glo] = 1.0
+            moved = gates[lo:hi]
+            dist = matrix[moved][:, moved].astype(np.float64)
+            sep[glo:ghi] += ((dist @ u) * u).sum(axis=0) / 2
 
-        # Candidate-row matrices over all slots: base values with the two
-        # touched columns replaced (dying sources contribute nothing) —
-        # the same full-array reductions as the committed path.
-        def candidate_matrix(base, src_new, tgt_new):
-            matrix = np.broadcast_to(base, (count, num_slots)).copy()
-            matrix[rows, src_slot] = np.where(dying, 0.0, src_new)
-            matrix[rows, tgt_slot] = tgt_new
-            return matrix
+        # --- D_BIC per chunk of up to 192 candidates: every touched
+        # module's final members re-degraded under the group's sensor,
+        # retimed in one stacked sweep.
+        d_bic = np.full(count, self._dbic, dtype=np.float64)
+        delays = self.delay_degraded
+        time_resolved = ctx.time_resolved_degradation
+        n_group = None if time_resolved else activity.max(axis=1)
+        final_cand = cand[final_moves]
+        position = np.empty(len(module_of), dtype=np.int64)
+        for lo in range(0, count, 192):
+            hi = min(lo + 192, count)
+            glo, ghi = np.searchsorted(g_cand, [lo, hi])
+            mods = np.unique(g_module[glo:ghi])
+            if mods.size == 0:
+                continue  # only empty candidates: the current D_BIC
+            members = [self._members[m] for m in mods.tolist()]
+            member_cat = np.concatenate(members)
+            cols = np.sort(member_cat)
+            position[cols] = np.arange(cols.size)
+            mod_sizes = np.array([m.size for m in members])
+            which = np.searchsorted(mods, g_module[glo:ghi])
+            sizes = mod_sizes[which]
+            # One entry per (row, member of a touched module): the group
+            # its gate ends up in — its module's, or its last move's.
+            entry_row = np.repeat(g_cand[glo:ghi] - lo, sizes)
+            gate = member_cat[
+                _ragged_arange((np.cumsum(mod_sizes) - mod_sizes)[which], sizes)
+            ]
+            at = position[gate]
+            home = np.empty((hi - lo, cols.size), dtype=np.int64)
+            home[entry_row, at] = np.repeat(np.arange(glo, ghi), sizes)
+            flo, fhi = np.searchsorted(final_cand, [lo, hi])
+            last = final_moves[flo:fhi]
+            home[cand[last] - lo, position[gates[last]]] = event_group[2 * last + 1]
+            group = home[entry_row, at]
+            if time_resolved:
+                slots, counts = csr_gather(times.times_indptr, times.times_flat, gate)
+                n = np.maximum.reduceat(
+                    activity[np.repeat(group, counts), slots],
+                    np.cumsum(counts) - counts,
+                )
+            else:
+                n = n_group[group]
+            delta = ctx.degradation.delta(
+                n,
+                rs[group],
+                cs[group],
+                electricals.output_cap_ff[gate],
+                electricals.pulldown_res_ohm[gate],
+            )
+            over = np.empty((hi - lo, cols.size), dtype=np.float64)
+            over[:] = delays[cols]
+            over[entry_row, at] = electricals.delay_ns[gate] * (1.0 + delta)
+            d_bic[lo:hi] = ctx.timing.incremental.retime_batch(
+                self._arrival, delays, cols, over
+            )
 
-        total_area = candidate_matrix(self.sensor_area, src_area, tgt_area).sum(axis=1)
-        total_sep = candidate_matrix(self.sep_sum, src_sep, tgt_sep).sum(axis=1)
-        settle = candidate_matrix(self.settle_ns, src_settle, tgt_settle).max(axis=1)
+        # --- Γ and the cost terms over (C, S) candidate matrices: base
+        # values with each group's column replaced (dying modules hold 0).
+        def candidate_matrix(base, values):
+            out = np.broadcast_to(base, (count, num_slots)).copy()
+            out[g_cand, g_slot] = np.where(dying, 0.0, values)
+            return out
+
+        total_area = candidate_matrix(self.sensor_area, area).sum(axis=1)
+        total_sep = candidate_matrix(self.sep_sum, sep).sum(axis=1)
+        settle_max = candidate_matrix(self.settle_ns, settle).max(axis=1)
         feasible, violation, _, _ = check_constraints_arrays(
             ctx.technology,
-            candidate_matrix(self.leak_na, src_leak, tgt_leak),
-            candidate_matrix(self.max_current_ma, src_max, tgt_max),
+            candidate_matrix(self.leak_na, leak),
+            candidate_matrix(self.max_current_ma, max_current),
         )
-
-        # --- stage 2: the delay term, batched per (source, target) pair.
-        d_bic = np.empty(count, dtype=np.float64)
-        arrival = self._arrival
-        delays = self.delay_degraded
-        nominal = electricals.delay_ns
-        incremental = ctx.timing.incremental
-        cg_ff = electricals.output_cap_ff
-        rg_ohm = electricals.pulldown_res_ohm
-        time_resolved = ctx.time_resolved_degradation
-        if not time_resolved:
-            # Matches the committed path's ``float(activity.max())``.
-            n_src = src_act.max(axis=1)
-            n_tgt = tgt_act.max(axis=1)
-
-        def side_overrides(members, n_rows, rs_rows, cs_rows):
-            """Degraded delays of ``members`` for each candidate row —
-            the elementwise delta broadcast over (candidate, gate)."""
-            delta = ctx.degradation.delta(
-                n_rows,
-                rs_rows[:, None],
-                cs_rows[:, None],
-                cg_ff[members][None, :],
-                rg_ohm[members][None, :],
-            )
-            return nominal[members][None, :] * (1.0 + delta)
-
-        keys = src_modules * np.int64(partition._next_id) + targets
-        order = np.argsort(keys, kind="stable")
-        boundaries = np.nonzero(np.diff(keys[order]))[0] + 1
-        groups = np.split(order, boundaries)
-        # Scattered batches (random annealing blocks, KL pools) land
-        # roughly one candidate per module pair, so per-pair calls
-        # degrade to C=1 sweeps and nothing stacks.  Merging every
-        # group into one call over the union column set restores the
-        # stacking: a candidate's entries outside its own pair carry
-        # the base delays, which retime_batch treats as no-op
-        # overrides, so the merged sweep stays bit-identical to the
-        # per-pair calls while amortising one sweep over the whole
-        # batch.  Dense batches (neighbourhood scans) keep the per-pair
-        # calls and their narrower override matrices.
-        merged_over = None
-        if len(groups) * 8 > count:
-            touched_modules = np.unique(np.concatenate([src_modules, targets]))
-            # Memberships are disjoint sorted runs, so one sort (no
-            # dedup) yields the sorted union column set.
-            all_cols = np.sort(
-                np.concatenate([self._members[int(m)] for m in touched_modules])
-            )
-            merged_over = np.empty((count, all_cols.size), dtype=np.float64)
-            merged_over[:] = delays[all_cols][None, :]
-        for group in groups:
-            src_members = self._members[int(src_modules[group[0]])]
-            tgt_members = self._members[int(targets[group[0]])]
-            group_dying = bool(dying[group[0]])
-            cols = np.concatenate([src_members, tgt_members])
-            if merged_over is not None:
-                col_pos = np.searchsorted(all_cols, cols)
-            n_s = src_members.size
-            for lo in range(0, len(group), 192):
-                chunk = group[lo : lo + 192]
-                moved = gates[chunk]
-                over = np.empty((chunk.size, cols.size), dtype=np.float64)
-                if group_dying:
-                    # No source side remains; the moved gate's entry
-                    # is overwritten with its target-side value below.
-                    over[:, :n_s] = delays[src_members]
-                else:
-                    n_rows = (
-                        _profile_max_rows(times, src_members, src_act[chunk])
-                        if time_resolved
-                        else n_src[chunk][:, None]
-                    )
-                    over[:, :n_s] = side_overrides(
-                        src_members, n_rows, src_rs[chunk], src_cs[chunk]
-                    )
-                n_rows = (
-                    _profile_max_rows(times, tgt_members, tgt_act[chunk])
-                    if time_resolved
-                    else n_tgt[chunk][:, None]
-                )
-                over[:, n_s:] = side_overrides(
-                    tgt_members, n_rows, tgt_rs[chunk], tgt_cs[chunk]
-                )
-                # The moved gate joins the target module: same
-                # elementwise delta with the target side's
-                # parameters and the gate's own load.
-                n_moved = (
-                    _profile_max_diag(times, moved, tgt_act[chunk])
-                    if time_resolved
-                    else n_tgt[chunk]
-                )
-                delta_moved = ctx.degradation.delta(
-                    n_moved,
-                    tgt_rs[chunk],
-                    tgt_cs[chunk],
-                    cg_ff[moved],
-                    rg_ohm[moved],
-                )
-                over[
-                    np.arange(chunk.size), np.searchsorted(src_members, moved)
-                ] = nominal[moved] * (1.0 + delta_moved)
-                if merged_over is not None:
-                    merged_over[chunk[:, None], col_pos[None, :]] = over
-                else:
-                    d_bic[chunk] = incremental.retime_batch(arrival, delays, cols, over)
-        if merged_over is not None:
-            for lo in range(0, count, 192):
-                d_bic[lo : lo + 192] = incremental.retime_batch(
-                    arrival, delays, all_cols, merged_over[lo : lo + 192]
-                )
-
         d_nom = ctx.nominal_delay_ns
         weights = ctx.weights
         c1 = np.log1p(np.maximum(total_area, 0.0))
         c2 = (d_bic - d_nom) / d_nom
         c3 = np.log1p(np.maximum(total_sep, 0.0))
-        c4 = (d_bic + settle - d_nom) / d_nom
-        c5 = (partition.num_modules - dying).astype(np.float64)
-        costs = (
-            weights.area * c1
-            + weights.delay * c2
-            + weights.separation * c3
-            + weights.test_time * c4
-            + weights.modules * c5
-        )
-        return costs + np.where(feasible, 0.0, penalty * (1.0 + violation))
-
-    # ------------------------------------------------------------ swap kernel
-    def trial_swaps(
-        self, gates_a: Sequence[int], gates_b: Sequence[int], penalty: float
-    ) -> np.ndarray:
-        """Batched swap kernel: the penalised cost of every candidate
-        two-gate exchange ``(a -> module(b), b -> module(a))``, each
-        evaluated independently from the current state.
-
-        The structure mirrors :meth:`trial_moves`, with both touched
-        modules losing one gate and gaining another: stage 1 applies the
-        two moves' deltas in the sequential per-move order (so every
-        float operation matches ``trial_cost`` byte for byte), stage 2
-        groups candidates by (module_a, module_b) pair — all swaps of a
-        pair share one retiming override column-set, the union of both
-        memberships — and builds multi-gate override rows where the
-        exchanged pair's entries carry the *other* side's sensor
-        parameters, retimed in one
-        :meth:`IncrementalTiming.retime_batch` stacked sweep.  The state
-        is never mutated.  Candidates out of a 1-gate module are
-        rejected (the first move of the exchange would delete it —
-        sequential scoring raises the same way).
-        """
-        gates_a = np.asarray(gates_a, dtype=np.int64)
-        gates_b = np.asarray(gates_b, dtype=np.int64)
-        count = len(gates_a)
-        if len(gates_b) != count:
-            raise PartitionError("trial_swaps needs equally many a- and b-gates")
-        if count == 0:
-            return np.empty(0, dtype=np.float64)
-        obs.METRICS.inc("optimize.trial_swaps.calls")
-        obs.METRICS.inc("optimize.trial_swaps.candidates", count)
-        if self._journal is not None:
-            raise PartitionError("trial_swaps not allowed inside an open trial")
-        self._refresh()
-        ctx = self.ctx
-        partition = self.partition
-        electricals = ctx.electricals
-        num_slots = len(self._slot_module)
-
-        slot_map = np.full(partition._next_id, -1, dtype=np.int64)
-        for module, slot in self._slot_of.items():
-            slot_map[module] = slot
-        mod_a = partition._module_of[gates_a].astype(np.int64)
-        mod_b = partition._module_of[gates_b].astype(np.int64)
-        if (mod_a == mod_b).any():
-            raise PartitionError("swap candidate within a single module")
-        sizes = np.bincount(partition._module_of, minlength=int(partition._next_id))
-        if (sizes[mod_a] == 1).any():
-            raise PartitionError("swap candidate out of a 1-gate module")
-        slot_a = slot_map[mod_a]
-        slot_b = slot_map[mod_b]
-        rows = np.arange(count)
-
-        # --- stage 1: every non-delay statistic, fully vectorised, with
-        # the two moves' deltas applied in sequential per-move order.
-        leak_ga = electricals.leakage_na[gates_a]
-        leak_gb = electricals.leakage_na[gates_b]
-        rail_ga = electricals.rail_cap_ff[gates_a]
-        rail_gb = electricals.rail_cap_ff[gates_b]
-        peak_ga = electricals.peak_current_ma[gates_a]
-        peak_gb = electricals.peak_current_ma[gates_b]
-        a_leak = (self.leak_na[slot_a] - leak_ga) + leak_gb
-        b_leak = (self.leak_na[slot_b] + leak_ga) - leak_gb
-        a_rail = (self.rail_cap_ff[slot_a] - rail_ga) + rail_gb
-        b_rail = (self.rail_cap_ff[slot_b] + rail_ga) - rail_gb
-
-        gate_slot = slot_map[partition._module_of]
-        unique_gates, inverse = np.unique(
-            np.concatenate([gates_a, gates_b]), return_inverse=True
-        )
-        sums = ctx.separation.sums_by_group(unique_gates, gate_slot, num_slots)
-        inv_a = inverse[:count]
-        inv_b = inverse[count:]
-        # The second move sees the first one's result: ``a`` is already
-        # in B, so ``b``'s sums gain/lose the pair's own distance.
-        d_ab = ctx.separation.matrix[gates_a, gates_b].astype(np.float64)
-        a_sep = (self.sep_sum[slot_a] - sums[inv_a, slot_a]) + (
-            sums[inv_b, slot_a] - d_ab
-        )
-        b_sep = (self.sep_sum[slot_b] + sums[inv_a, slot_b]) - (
-            sums[inv_b, slot_b] + d_ab
-        )
-
-        times = ctx.times
-        a_flat, a_counts = csr_gather(times.times_indptr, times.times_flat, gates_a)
-        b_flat, b_counts = csr_gather(times.times_indptr, times.times_flat, gates_b)
-        a_row_rep = np.repeat(rows, a_counts)
-        b_row_rep = np.repeat(rows, b_counts)
-        a_peak_rep = np.repeat(peak_ga, a_counts)
-        b_peak_rep = np.repeat(peak_gb, b_counts)
-        a_cur = self.current[slot_a].copy()
-        b_cur = self.current[slot_b].copy()
-        a_act = self.activity[slot_a].copy()
-        b_act = self.activity[slot_b].copy()
-        a_cur[a_row_rep, a_flat] -= a_peak_rep  # move 1: a leaves A ...
-        b_cur[a_row_rep, a_flat] += a_peak_rep  # ... and joins B
-        a_act[a_row_rep, a_flat] -= 1.0
-        b_act[a_row_rep, a_flat] += 1.0
-        b_cur[b_row_rep, b_flat] -= b_peak_rep  # move 2: b leaves B ...
-        a_cur[b_row_rep, b_flat] += b_peak_rep  # ... and joins A
-        b_act[b_row_rep, b_flat] -= 1.0
-        a_act[b_row_rep, b_flat] += 1.0
-        a_max = a_cur.max(axis=1)
-        b_max = b_cur.max(axis=1)
-
-        a_rs, a_area, a_cs, a_tau, _ = size_sensors(ctx.technology, a_max, a_rail)
-        b_rs, b_area, b_cs, b_tau, _ = size_sensors(ctx.technology, b_max, b_rail)
-        a_settle = settle_times_ns(a_max, a_tau, ctx.technology)
-        b_settle = settle_times_ns(b_max, b_tau, ctx.technology)
-
-        # Candidate-row matrices over all slots: base values with the two
-        # touched columns replaced (swaps preserve sizes — nothing dies).
-        def candidate_matrix(base, a_new, b_new):
-            matrix = np.broadcast_to(base, (count, num_slots)).copy()
-            matrix[rows, slot_a] = a_new
-            matrix[rows, slot_b] = b_new
-            return matrix
-
-        total_area = candidate_matrix(self.sensor_area, a_area, b_area).sum(axis=1)
-        total_sep = candidate_matrix(self.sep_sum, a_sep, b_sep).sum(axis=1)
-        settle = candidate_matrix(self.settle_ns, a_settle, b_settle).max(axis=1)
-        feasible, violation, _, _ = check_constraints_arrays(
-            ctx.technology,
-            candidate_matrix(self.leak_na, a_leak, b_leak),
-            candidate_matrix(self.max_current_ma, a_max, b_max),
-        )
-
-        # --- stage 2: the delay term, batched per (module_a, module_b)
-        # pair — one shared override column-set per pair.
-        d_bic = np.empty(count, dtype=np.float64)
-        arrival = self._arrival
-        delays = self.delay_degraded
-        nominal = electricals.delay_ns
-        incremental = ctx.timing.incremental
-        cg_ff = electricals.output_cap_ff
-        rg_ohm = electricals.pulldown_res_ohm
-        time_resolved = ctx.time_resolved_degradation
-        if not time_resolved:
-            n_a = a_act.max(axis=1)
-            n_b = b_act.max(axis=1)
-
-        def side_overrides(members, n_rows, rs_rows, cs_rows):
-            delta = ctx.degradation.delta(
-                n_rows,
-                rs_rows[:, None],
-                cs_rows[:, None],
-                cg_ff[members][None, :],
-                rg_ohm[members][None, :],
-            )
-            return nominal[members][None, :] * (1.0 + delta)
-
-        keys = mod_a * np.int64(partition._next_id) + mod_b
-        order = np.argsort(keys, kind="stable")
-        boundaries = np.nonzero(np.diff(keys[order]))[0] + 1
-        groups = np.split(order, boundaries)
-        # Same merged-stacking path as trial_moves: scattered pools
-        # merge every pair group into one retime_batch call over the
-        # union column set (base-delay entries are no-op overrides,
-        # so the merge is bit-identical).
-        merged_over = None
-        if len(groups) * 8 > count:
-            touched_modules = np.unique(np.concatenate([mod_a, mod_b]))
-            all_cols = np.sort(
-                np.concatenate([self._members[int(m)] for m in touched_modules])
-            )
-            merged_over = np.empty((count, all_cols.size), dtype=np.float64)
-            merged_over[:] = delays[all_cols][None, :]
-        for group in groups:
-            members_a = self._members[int(mod_a[group[0]])]
-            members_b = self._members[int(mod_b[group[0]])]
-            cols = np.concatenate([members_a, members_b])
-            if merged_over is not None:
-                col_pos = np.searchsorted(all_cols, cols)
-            n_s = members_a.size
-            for lo in range(0, len(group), 192):
-                chunk = group[lo : lo + 192]
-                moved_a = gates_a[chunk]
-                moved_b = gates_b[chunk]
-                over = np.empty((chunk.size, cols.size), dtype=np.float64)
-                n_rows = (
-                    _profile_max_rows(times, members_a, a_act[chunk])
-                    if time_resolved
-                    else n_a[chunk][:, None]
-                )
-                over[:, :n_s] = side_overrides(
-                    members_a, n_rows, a_rs[chunk], a_cs[chunk]
-                )
-                n_rows = (
-                    _profile_max_rows(times, members_b, b_act[chunk])
-                    if time_resolved
-                    else n_b[chunk][:, None]
-                )
-                over[:, n_s:] = side_overrides(
-                    members_b, n_rows, b_rs[chunk], b_cs[chunk]
-                )
-                # The exchanged pair crosses sides: each moved
-                # gate's override carries the *other* module's
-                # sensor parameters — two overwritten entries per
-                # candidate row (multi-gate override columns).
-                n_moved = (
-                    _profile_max_diag(times, moved_a, b_act[chunk])
-                    if time_resolved
-                    else n_b[chunk]
-                )
-                delta_moved = ctx.degradation.delta(
-                    n_moved,
-                    b_rs[chunk],
-                    b_cs[chunk],
-                    cg_ff[moved_a],
-                    rg_ohm[moved_a],
-                )
-                over[
-                    np.arange(chunk.size), np.searchsorted(members_a, moved_a)
-                ] = nominal[moved_a] * (1.0 + delta_moved)
-                n_moved = (
-                    _profile_max_diag(times, moved_b, a_act[chunk])
-                    if time_resolved
-                    else n_a[chunk]
-                )
-                delta_moved = ctx.degradation.delta(
-                    n_moved,
-                    a_rs[chunk],
-                    a_cs[chunk],
-                    cg_ff[moved_b],
-                    rg_ohm[moved_b],
-                )
-                over[
-                    np.arange(chunk.size),
-                    n_s + np.searchsorted(members_b, moved_b),
-                ] = nominal[moved_b] * (1.0 + delta_moved)
-                if merged_over is not None:
-                    merged_over[chunk[:, None], col_pos[None, :]] = over
-                else:
-                    d_bic[chunk] = incremental.retime_batch(arrival, delays, cols, over)
-        if merged_over is not None:
-            for lo in range(0, count, 192):
-                d_bic[lo : lo + 192] = incremental.retime_batch(
-                    arrival, delays, all_cols, merged_over[lo : lo + 192]
-                )
-
-        d_nom = ctx.nominal_delay_ns
-        weights = ctx.weights
-        c1 = np.log1p(np.maximum(total_area, 0.0))
-        c2 = (d_bic - d_nom) / d_nom
-        c3 = np.log1p(np.maximum(total_sep, 0.0))
-        c4 = (d_bic + settle - d_nom) / d_nom
-        c5 = float(partition.num_modules)  # swaps never change K
+        c4 = (d_bic + settle_max - d_nom) / d_nom
+        c5 = (
+            partition.num_modules - np.bincount(g_cand[dying], minlength=count)
+        ).astype(np.float64)
         costs = (
             weights.area * c1
             + weights.delay * c2

@@ -295,6 +295,28 @@ class TestStateReuse:
             want = detection_matrix(circuit, partition, defects, batch)
             assert np.array_equal(got, want)
 
+    def test_patched_bits_match_fresh_unpack_along_a_walk(self, setup):
+        """A one-column-per-step walk patches every step from the last
+        one: overlays merge, wide ones flatten, and every slot — the
+        sources included — still reads exactly its batch's bits."""
+        circuit, *_ = setup
+        engine = CoverageEngine(circuit)
+        num_inputs = len(circuit.input_names)
+        batch = random_patterns(num_inputs, 40, seed=40)
+        kinds = set()
+        for step in range(24):
+            batch = batch.copy()
+            batch[:, step % num_inputs] ^= 1
+            values, bits = engine._prepare(batch)
+            kinds.add(type(bits).__name__)
+            rows = np.arange(bits.shape[0])
+            assert np.array_equal(bits[rows], engine.sim.unpack_bits(values))
+        assert kinds == {"_PatchedBits", "ndarray"}
+        assert engine.state_stats["patches"] == 23
+        for _, values, bits, _ in engine._state_cache.values():
+            rows = np.arange(bits.shape[0])
+            assert np.array_equal(bits[rows], engine.sim.unpack_bits(values))
+
     def test_slot_count_is_bounded(self, setup):
         circuit, *_ = setup
         engine = CoverageEngine(circuit)

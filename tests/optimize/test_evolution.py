@@ -5,8 +5,10 @@ import random
 import pytest
 
 from repro.config import EvolutionParams
-from repro.optimize.evolution import EvolutionOptimizer, evolve_partition
+from repro.netlist.benchmarks import load_iscas85
+from repro.optimize.evolution import EvolutionOptimizer, _Individual, evolve_partition
 from repro.optimize.start import start_population
+from repro.partition.evaluator import PartitionEvaluator
 
 
 class TestBasicRun:
@@ -112,3 +114,101 @@ class TestResultObject:
         text = result.summary()
         assert "evolution" in text
         assert "cost=" in text
+
+
+class _SequentialScoringES(EvolutionOptimizer):
+    """Test oracle: every child is drawn *and* scored inside its own
+    trial on the parent's live state — moves applied one by one, the
+    penalised cost read, the trial rolled back — the per-child path the
+    batched brood scoring replaces."""
+
+    def _brood(self, parent):
+        params = self.params
+        state = parent.state
+        children = []
+        for monte_carlo in [False] * params.children_per_parent + [
+            True
+        ] * params.monte_carlo_per_parent:
+            rng = self.rng
+            partition = state.partition
+            step = self._child_step(parent.step)
+            moves = []
+            state.begin_trial()
+            if partition.num_modules >= 2 and monte_carlo:
+                source = rng.choice(partition.module_ids)
+                target = rng.choice([m for m in partition.module_ids if m != source])
+                gates = partition.gates_array(source).tolist()
+                for gate in rng.sample(gates, rng.randint(1, len(gates))):
+                    state.move_gate(gate, target)
+                    moves.append((gate, target))
+            elif partition.num_modules >= 2:
+                module = rng.choice(partition.module_ids)
+                boundary = partition.boundary_gates(module)
+                if boundary:
+                    count = rng.randint(1, max(1, min(int(step), len(boundary))))
+                    for gate in rng.sample(boundary, count):
+                        targets = partition.neighbor_modules(gate)
+                        if targets:
+                            target = rng.choice(targets)
+                            state.move_gate(gate, target)
+                            moves.append((gate, target))
+            cost = state.penalized_cost(params.penalty)
+            state.rollback()
+            children.append(
+                _Individual(cost, step=step, parent_state=state, moves=moves)
+            )
+        return children
+
+
+def _run_capturing_best_state(optimizer, starts):
+    """Run ``optimizer`` and return (result, best state it evaluated)."""
+    evaluator = optimizer.evaluator
+    captured = []
+
+    def evaluation_of(state):
+        captured.append(state)
+        return type(evaluator).evaluation_of(evaluator, state)
+
+    evaluator.evaluation_of = evaluation_of
+    try:
+        result = optimizer.run(starts)
+    finally:
+        del evaluator.evaluation_of
+    return result, captured[-1]
+
+
+class TestBatchedBroodDecisionStream:
+    """Scoring every brood in one gain-kernel call, against proposals
+    drawn without touching the parent, reproduces the per-child trial
+    ES exactly: same history, evaluations, best cost and moves."""
+
+    # Wide steps and K=5 starts (the estimate gives K=2 here, where a
+    # moved gate can only land in the one module its neighbours already
+    # see) make a child's later neighbour queries depend on its earlier
+    # moves, which is what the proposal overlay has to get right.
+    PARAMS = EvolutionParams(
+        mu=4,
+        children_per_parent=4,
+        monte_carlo_per_parent=2,
+        max_moved_gates=12,
+        generations=15,
+        convergence_window=15,
+    )
+
+    @pytest.fixture(scope="class", params=["c432", "c880"])
+    def evaluator(self, request):
+        return PartitionEvaluator(load_iscas85(request.param))
+
+    @pytest.mark.parametrize("seed", [1, 7, 1995])
+    def test_matches_sequential_scoring(self, evaluator, seed):
+        starts = start_population(evaluator, 5, self.PARAMS.mu, random.Random(seed))
+        batched, batched_best = _run_capturing_best_state(
+            EvolutionOptimizer(evaluator, self.PARAMS, seed=seed), starts
+        )
+        oracle, oracle_best = _run_capturing_best_state(
+            _SequentialScoringES(evaluator, self.PARAMS, seed=seed), starts
+        )
+        assert batched.history == oracle.history
+        assert batched.evaluations == oracle.evaluations
+        assert batched.best_cost == oracle.best_cost
+        assert batched_best.committed_moves() == oracle_best.committed_moves()
